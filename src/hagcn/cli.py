@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig.from_dict(
         _merge_train_overrides(dict(file_cfg.get("train", {})), args))
 
-    bad = [s.label for s in train_seqs
+    bad = [s.label for s in train_seqs + (val_seqs or [])
            if not 0 <= s.label < model_cfg.num_classes]
     if bad:
         raise ConfigError(f"cache labels outside [0, "
@@ -155,7 +155,7 @@ def cmd_eval(args) -> int:
         os.makedirs(args.export_masks, exist_ok=True)
         x, _ = assemble_batch([seqs[args.mask_sample]], model.config.graph,
                               stream=args.stream, max_frames=args.max_frames)
-        paths = export_masks(model, x.data, args.export_masks,
+        paths = export_masks(model, x, args.export_masks,
                              block=args.mask_block, sample=0)
         print(f"wrote {len(paths)} mask files to {args.export_masks}")
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import FormatError
 from .graph import GraphSpec
-from .tensor import Tensor
+from .serialize import _read_exact
 
 CACHE_MAGIC = b"HAGD"
 STREAMS = ("joint", "bone", "joint_motion", "bone_motion")
@@ -241,7 +241,7 @@ def augment_sequence(seq: SkeletonSequence, rng: np.random.Generator,
 def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
                    max_frames: int = 300, max_persons: int = 2,
                    augment: str = "none", rng: np.random.Generator = None):
-    """Stack sequences into a (N, M, C, T, V) Tensor plus a label vector.
+    """Stack sequences into a (N, M, C, T, V) array plus a label vector.
 
     Valid frames loop-repeat to fill max_frames (and truncate beyond it);
     missing persons stay zero. Augmentation (kind 'rotate_shift') runs on the
@@ -272,7 +272,7 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
         idx = np.arange(max_frames) % valid
         # (M, T, V, C) gathered over frames -> (M, C, T, V)
         batch[n, :m] = seq.coords[:m, idx].transpose(0, 3, 1, 2)
-    return Tensor(batch), labels
+    return batch, labels
 
 
 # ---------------------------------------------------------------------------
@@ -292,22 +292,17 @@ def save_cache(path, seqs) -> None:
 
 
 def load_cache(path):
-    def read_exact(f, n):
-        buf = f.read(n)
-        if len(buf) != n:
-            raise FormatError(f"truncated cache {path}")
-        return buf
-
+    """Read a HAGD cache; declared sizes are checked before any read."""
     seqs = []
     with open(path, "rb") as f:
-        if read_exact(f, 4) != CACHE_MAGIC:
+        if _read_exact(f, 4) != CACHE_MAGIC:
             raise FormatError(f"bad cache magic in {path}")
-        (count,) = struct.unpack("<Q", read_exact(f, 8))
+        (count,) = struct.unpack("<Q", _read_exact(f, 8))
         for i in range(count):
-            label, m, t, v, c = struct.unpack("<qQQQQ", read_exact(f, 40))
+            label, m, t, v, c = struct.unpack("<qQQQQ", _read_exact(f, 40))
             if m * v * c == 0 or m > 16 or v > 1024 or c > 64:
                 raise FormatError(f"implausible sequence header in {path}")
-            raw = read_exact(f, 8 * m * t * v * c)
+            raw = _read_exact(f, 8 * m * t * v * c)
             coords = np.frombuffer(raw, dtype="<f8").reshape(m, t, v, c)
             seqs.append(SkeletonSequence(np.array(coords), label=int(label),
                                          valid_frames=int(t),

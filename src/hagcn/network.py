@@ -189,10 +189,6 @@ class Model(Layer):
         return T.softmax(logits, axis=1)
 
 
-def param_count(model: Model) -> int:
-    return model.param_count()
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 

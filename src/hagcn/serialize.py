@@ -8,6 +8,7 @@ from these blobs plus length-prefixed names and JSON blocks.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 
@@ -20,9 +21,18 @@ _MAX_RANK = 32
 
 
 def _read_exact(f, n: int) -> bytes:
-    buf = f.read(n)
+    """Read n header-declared bytes from a seekable stream; a large n is
+    checked against the bytes left first, so a hostile header cannot make
+    the read allocate it (small reads skip the check's two seeks)."""
+    left = n
+    if n > io.DEFAULT_BUFFER_SIZE:
+        pos = f.tell()
+        left = f.seek(0, io.SEEK_END) - pos
+        f.seek(pos)
+    buf = f.read(n) if n <= left else b""
     if len(buf) != n:
-        raise FormatError("truncated stream")
+        raise FormatError(f"truncated {getattr(f, 'name', 'stream')}: "
+                          f"{n} bytes declared, fewer left")
     return buf
 
 

@@ -2,12 +2,12 @@
 
 A Tensor wraps an ndarray and, when gradients are required, a closure that
 maps the output gradient to gradients for its parents. The op set is exactly
-what the network needs: broadcast arithmetic, batched matmul, a 2-D
-convolution with temporal stride/dilation/padding, batch and layer
+what the network needs: broadcast arithmetic, batched matmul, a temporal
+(k_t x 1) convolution with stride/dilation/padding, batch and layer
 normalization, pointwise nonlinearities, reductions, shape moves,
 concatenation and inverted dropout. ``backward`` walks the graph in reverse
-topological order; ``grad_check`` compares analytic gradients against central
-differences.
+topological order and returns the leaf gradients by ``id``; ``grad_check``
+compares analytic gradients against central differences.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None  # ndarray, accumulated across backward() calls
+        self.grad = None  # ndarray, accumulated by Tensor.backward()
         self.parents: tuple = ()
         self._backward = None  # g -> tuple of parent grads aligned with parents
 
@@ -43,7 +43,12 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        backward(self)
+        """Backpropagate; leaf gradients add into ``.grad`` until zeroed."""
+        grads = backward(self)
+        for node in _topo(self):
+            g = grads.get(id(node))
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -188,11 +193,12 @@ def matmul(a, b) -> Tensor:
 
 
 def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
-    """2-D convolution over (N, C, T, V) input.
+    """Temporal convolution over (N, C, T, V) input.
 
-    The kernel is (C_out, C_in, k_t, k_v). Stride, dilation and zero padding
-    apply to the temporal axis only; the joint axis is convolved valid with
-    unit stride (k_v is 1 everywhere in this network).
+    The kernel is (C_out, C_in, k_t, 1); stride, dilation and zero padding
+    apply to the temporal axis. Each tap is one matmul of its weights with
+    the shifted input seen as (N, C_in, T_out*V), a free view for 1x1
+    stride-1 convs.
     """
     x, w = as_tensor(x), as_tensor(w)
     if b is not None:
@@ -201,6 +207,9 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
         raise ValueError("conv2d expects 4-D input and kernel")
     n, c_in, t, v = x.data.shape
     c_out, c_in_w, k_t, k_v = w.data.shape
+    if k_v != 1:
+        raise ValueError(f"conv2d kernel must be (C_out, C_in, k_t, 1), "
+                         f"got {w.data.shape}")
     if c_in != c_in_w:
         raise ValueError(f"conv2d channel mismatch: input {c_in}, kernel {c_in_w}")
     if b is not None and b.data.shape != (c_out,):
@@ -208,10 +217,9 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
     if stride < 1 or dilation < 1 or pad < 0:
         raise ValueError("conv2d stride/dilation must be >= 1 and pad >= 0")
     t_pad = t + 2 * pad
-    t_out = (t_pad - dilation * (k_t - 1) - 1) // stride + 1
-    v_out = v - (k_v - 1)
-    if t_pad < dilation * (k_t - 1) + 1 or v_out < 1:
+    if t_pad < dilation * (k_t - 1) + 1 or v < 1:
         raise ValueError("conv2d kernel larger than padded input")
+    t_out = (t_pad - dilation * (k_t - 1) - 1) // stride + 1
 
     if pad:
         xp = np.zeros((n, c_in, t_pad, v), dtype=np.float64)
@@ -219,30 +227,32 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
     else:
         xp = x.data
     span = (t_out - 1) * stride + 1
+    # (k_t, C_out, C_in), contiguous: a strided weight slice misses BLAS
+    wk = w.data[:, :, :, 0].transpose(2, 0, 1).copy()
 
-    acc = np.zeros((n, t_out, v_out, c_out), dtype=np.float64)
-    for it in range(k_t):
+    def tap(it):
         t0 = it * dilation
-        xs = xp[:, :, t0:t0 + span:stride, :]
-        for iv in range(k_v):
-            xv = xs[:, :, :, iv:iv + v_out]
-            acc += np.tensordot(xv, w.data[:, :, it, iv], axes=([1], [1]))
-    data = np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+        return xp[:, :, t0:t0 + span:stride].reshape(n, c_in, t_out * v)
+
+    data = np.matmul(wk[0], tap(0))
+    for it in range(1, k_t):
+        data += np.matmul(wk[it], tap(it))
+    data = data.reshape(n, c_out, t_out, v)
     if b is not None:
         data += b.data.reshape(1, c_out, 1, 1)
 
     def back(g):
-        gt = g.transpose(0, 2, 3, 1)  # (N, T_out, V_out, C_out)
+        g3 = g.reshape(n, c_out, t_out * v)
+        # dW is one GEMM over all N*T_out*V per tap: per-sample products summed
+        # over N round differently, enough to change what desk training learns
+        gm = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
         dxp = np.zeros_like(xp)
         dw = np.zeros_like(w.data)
         for it in range(k_t):
             t0 = it * dilation
-            xs = xp[:, :, t0:t0 + span:stride, :]
-            for iv in range(k_v):
-                xv = xs[:, :, :, iv:iv + v_out]
-                dw[:, :, it, iv] = np.tensordot(gt, xv, axes=([0, 1, 2], [0, 2, 3]))
-                dxv = np.tensordot(gt, w.data[:, :, it, iv], axes=([3], [0]))
-                dxp[:, :, t0:t0 + span:stride, iv:iv + v_out] += dxv.transpose(0, 3, 1, 2)
+            dw[:, :, it, 0] = gm @ tap(it).transpose(0, 2, 1).reshape(-1, c_in)
+            dxp[:, :, t0:t0 + span:stride] += np.matmul(
+                wk[it].T, g3).reshape(n, c_in, t_out, v)
         dx = dxp[:, :, pad:pad + t, :] if pad else dxp
         grads = [dx, dw]
         if b is not None:
@@ -502,33 +512,29 @@ def _topo(root: Tensor):
     return order
 
 
-def backward(loss: Tensor, grad_map: dict | None = None):
-    """Backpropagate from a scalar loss.
+def backward(loss: Tensor) -> dict:
+    """Backpropagate from a scalar loss; returns {id(leaf): gradient}.
 
-    Leaf gradients accumulate into ``.grad`` (repeated calls add up until
-    zeroed); interior nodes only relay flow, which keeps peak memory at the
-    live frontier instead of the whole graph. When ``grad_map`` is given,
-    leaf gradients go into that dict keyed by tensor id instead of touching
-    ``.grad``; this keeps shard-parallel accumulation race-free.
+    ``.grad`` is never written, so shards can share parameters race-free
+    (``Tensor.backward`` accumulates the map into ``.grad``). Interior nodes
+    only relay flow, which keeps peak memory at the live frontier instead of
+    the whole graph.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     if not loss.requires_grad:
-        return
+        return {}
     order = _topo(loss)
     flows = {id(loss): np.ones_like(loss.data)}
+    grads = {}
     for node in reversed(order):
         g = flows.pop(id(node), None)
         if g is None:
             continue
         if node.requires_grad and not node.parents:
-            if grad_map is not None:
-                key = id(node)
-                grad_map[key] = g if key not in grad_map else grad_map[key] + g
-            else:
-                node.grad = g if node.grad is None else node.grad + g
+            grads[id(node)] = g
         if node._backward is None:
             continue
         for parent, pg in zip(node.parents, node._backward(g)):
@@ -536,6 +542,7 @@ def backward(loss: Tensor, grad_map: dict | None = None):
                 continue
             pid = id(parent)
             flows[pid] = pg if pid not in flows else flows[pid] + pg
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +566,7 @@ def grad_check(fn, x: Tensor, eps: float = 1e-5) -> float:
             or out1.data.tobytes() != out2.data.tobytes()):
         raise NondeterminismError("fn returned different outputs on identical input")
 
-    backward(tsum(out2))
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
+    analytic = backward(tsum(out2)).get(id(probe), np.zeros_like(base))
 
     numeric = np.empty_like(base)
     flat = base.reshape(-1)

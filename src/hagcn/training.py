@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, TrainingDiverged
+from .evaluation import score_dataset, topk_accuracy
 from .ingest import STREAMS, SkeletonSequence, assemble_batch
 from .network import Model
 
@@ -145,13 +146,12 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
 
     def run(i: int):
         x, y = shards[i]
-        grad_map = {}
         sink = []
         logits = model.forward(x, training=True, rng=shard_rngs[i],
                                stats_sink=sink)
         loss = cross_entropy(logits, y)
-        T.backward(T.mul(loss, len(y) / n_total), grad_map=grad_map)
-        results[i] = (grad_map, sink, float(loss.data), logits.data)
+        grads = T.backward(T.mul(loss, len(y) / n_total))
+        results[i] = (grads, sink, float(loss.data), logits.data)
 
     if threads <= 1 or len(shards) == 1:
         for i in range(len(shards)):
@@ -163,9 +163,9 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
     params = [p for _, p in model.named_params()]
     mean_loss = 0.0
     for i in range(len(shards)):
-        grad_map, sink, loss_i, _ = results[i]
+        grads, sink, loss_i, _ = results[i]
         for p in params:
-            g = grad_map.get(id(p))
+            g = grads.get(id(p))
             if g is None:
                 continue
             p.grad = g if p.grad is None else p.grad + g
@@ -361,20 +361,6 @@ def write_history(path, rows) -> None:
                         else row[k] for k in HISTORY_FIELDS})
 
 
-def _val_top1(model: Model, seqs, cfg: TrainConfig, batch: int = 64) -> float:
-    graph = model.config.graph
-    correct = 0
-    for start in range(0, len(seqs), batch):
-        chunk = seqs[start:start + batch]
-        x, labels = assemble_batch(chunk, graph, stream=cfg.stream,
-                                   max_frames=cfg.max_frames,
-                                   max_persons=cfg.max_persons)
-        with T.no_grad():
-            probs = model.forward(x, training=False)
-        correct += int((np.argmax(probs.data, axis=1) == labels).sum())
-    return correct / len(seqs)
-
-
 def train(model: Model, train_seqs, val_seqs=None,
           config: TrainConfig = None, threads: int = None,
           callback=None, loss_ceiling: float = 50.0):
@@ -406,7 +392,7 @@ def train(model: Model, train_seqs, val_seqs=None,
                                        max_frames=cfg.max_frames,
                                        max_persons=cfg.max_persons,
                                        augment=cfg.augment, rng=rng)
-            shards = shard_batch(x.data, labels, cfg.micro_batch)
+            shards = shard_batch(x, labels, cfg.micro_batch)
             model.zero_grad()
             loss, logits = accumulate_gradients(model, shards, rng, threads)
             if not np.isfinite(loss) or loss > loss_ceiling:
@@ -415,13 +401,18 @@ def train(model: Model, train_seqs, val_seqs=None,
             opt.step()
             loss_sum += loss * len(labels)
             correct += int((np.argmax(logits, axis=1) == labels).sum())
+        val_acc = float("nan")
+        if val_seqs:
+            scores, val_labels = score_dataset(
+                model, val_seqs, stream=cfg.stream, batch_size=64,
+                max_frames=cfg.max_frames, max_persons=cfg.max_persons)
+            val_acc = topk_accuracy(scores, val_labels, 1)
         row = {
             "epoch": epoch,
             "lr": opt.lr,
             "train_loss": loss_sum / n,
             "train_acc": correct / n,
-            "val_acc": _val_top1(model, val_seqs, cfg) if val_seqs else
-                       float("nan"),
+            "val_acc": val_acc,
         }
         history.append(row)
         if callback is not None:

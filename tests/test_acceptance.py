@@ -46,8 +46,8 @@ def test_parameter_budget_within_tolerance():
     full = N.Model(N.ModelConfig.ntu_default(num_classes=60), seed=0)
     single = N.Model(N.ModelConfig.ntu_default(num_classes=60)
                      .single_branch("rd"), seed=0)
-    n_full = N.param_count(full)
-    n_single = N.param_count(single)
+    n_full = full.param_count()
+    n_single = single.param_count()
     elapsed = time.perf_counter() - t0
     assert abs(n_full - 1_420_000) <= 0.10 * 1_420_000, n_full
     assert abs(n_single - 1_340_000) <= 0.10 * 1_340_000, n_single

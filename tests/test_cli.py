@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -150,12 +151,15 @@ def test_train_rejects_malformed_json(tmp_path, capsys):
 
 
 def test_train_rejects_labels_beyond_classes(tmp_path, capsys):
-    cache = make_cache(tmp_path, "train.hagd", classes=5)
+    wide = make_cache(tmp_path, "wide.hagd", classes=5)
+    narrow = make_cache(tmp_path, "narrow.hagd")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG))  # num_classes 3 < labels
-    assert run(["train", "--train-cache", cache, "--config", str(cfg_path),
-                "--out", str(tmp_path / "run")]) == 1
-    assert "labels outside" in capsys.readouterr().err
+    # out-of-range labels in the training cache, then in the validation cache
+    for train, val in ((wide, []), (narrow, ["--val-cache", wide])):
+        assert run(["train", "--train-cache", train, "--config", str(cfg_path),
+                    "--out", str(tmp_path / "run")] + val) == 1
+        assert "labels outside" in capsys.readouterr().err
 
 
 def test_train_honors_threads_env(tmp_path, monkeypatch):
@@ -227,6 +231,16 @@ def test_eval_mask_export(trained):
     assert mask.shape == (25, 25)
     img = read_pgm(os.path.join(mask_dir, "mask_subset1.pgm"))
     assert img.shape == (25, 25)
+
+
+def test_eval_rejects_oversized_cache_header(trained, tmp_path, capsys):
+    bad = tmp_path / "huge.hagd"
+    bad.write_bytes(b"HAGD" + struct.pack("<Q", 1)
+                    + struct.pack("<qQQQQ", 0, 1, 2**60, 25, 3))
+    assert run(["eval", "--checkpoint", trained["ckpt"], "--cache", str(bad),
+                "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "truncated" in err
 
 
 def test_eval_mask_sample_bounds(trained, capsys):

@@ -145,14 +145,14 @@ def test_ablation_report_structure():
 def test_capture_masks_shape_and_bounds():
     model, seqs = _scoring_setup()
     x, _ = assemble_batch(seqs[:2], model.config.graph, max_frames=10)
-    masks = E.capture_masks(model, x.data, block=0, sample=1)
+    masks = E.capture_masks(model, x, block=0, sample=1)
     assert len(masks) == 3
     for m in masks:
         assert m.shape == (25, 25)
     with pytest.raises(ValueError, match="block"):
-        E.capture_masks(model, x.data, block=5)
+        E.capture_masks(model, x, block=5)
     with pytest.raises(ValueError, match="sample"):
-        E.capture_masks(model, x.data, sample=99)
+        E.capture_masks(model, x, sample=99)
 
 
 def test_mask_csv_round_trip_exact(tmp_path):
@@ -208,11 +208,11 @@ def test_pgm_read_rejects_garbage(tmp_path):
 def test_export_masks_writes_all_subsets(tmp_path):
     model, seqs = _scoring_setup()
     x, _ = assemble_batch(seqs[:1], model.config.graph, max_frames=10)
-    paths = E.export_masks(model, x.data, tmp_path, block=0, sample=0)
+    paths = E.export_masks(model, x, tmp_path, block=0, sample=0)
     assert len(paths) == 6
     for p in paths:
         assert (tmp_path / p.split("/")[-1]).exists()
     csvs = [p for p in paths if p.endswith(".csv")]
-    masks = E.capture_masks(model, x.data, block=0, sample=0)
+    masks = E.capture_masks(model, x, block=0, sample=0)
     for p, m in zip(csvs, masks):
         np.testing.assert_array_equal(E.read_mask_csv(p), m)

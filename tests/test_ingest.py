@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -143,24 +144,24 @@ class TestAssemble:
         coords[0, :, 0, 0] = [1.0, 2.0, 3.0]
         seq = SkeletonSequence(coords, label=4)
         batch, labels = assemble_batch([seq], g, max_frames=7, max_persons=2)
-        assert batch.data.shape == (1, 2, 2, 7, 3)
+        assert batch.shape == (1, 2, 2, 7, 3)
         assert labels.tolist() == [4]
-        assert np.array_equal(batch.data[0, 0, 0, :, 0],
+        assert np.array_equal(batch[0, 0, 0, :, 0],
                               [1.0, 2, 3, 1, 2, 3, 1])
-        assert np.array_equal(batch.data[0, 1], np.zeros((2, 7, 3)))
+        assert np.array_equal(batch[0, 1], np.zeros((2, 7, 3)))
 
     def test_truncation(self):
         g = chain_graph(2)
         coords = np.arange(10, dtype=float).reshape(1, 5, 2, 1)
         batch, _ = assemble_batch([SkeletonSequence(coords)], g, max_frames=3,
                                   max_persons=1)
-        assert np.array_equal(batch.data[0, 0, 0, :, 0], [0.0, 2.0, 4.0])
+        assert np.array_equal(batch[0, 0, 0, :, 0], [0.0, 2.0, 4.0])
 
     def test_empty_sequence_stays_zero(self):
         g = chain_graph(2)
         seq = SkeletonSequence(np.zeros((1, 0, 2, 3)))
         batch, _ = assemble_batch([seq], g, max_frames=4, max_persons=1)
-        assert np.array_equal(batch.data, np.zeros((1, 1, 3, 4, 2)))
+        assert np.array_equal(batch, np.zeros((1, 1, 3, 4, 2)))
 
     def test_deterministic_without_augment(self):
         g = build_graph("ntu25")
@@ -169,7 +170,7 @@ class TestAssemble:
                 for i in range(3)]
         a, _ = assemble_batch(seqs, g, stream="bone", max_frames=10)
         b, _ = assemble_batch(seqs, g, stream="bone", max_frames=10)
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_augment_needs_rng(self):
         g = chain_graph(2)
@@ -242,9 +243,13 @@ class TestCache:
     def test_truncated(self, tmp_path):
         p = tmp_path / "t.hagd"
         save_cache(p, [SkeletonSequence(np.ones((1, 3, 2, 3)))])
-        p.write_bytes(p.read_bytes()[:-10])
-        with pytest.raises(FormatError, match="truncated"):
-            load_cache(p)
+        cut = p.read_bytes()[:-10]
+        # one sequence whose header declares T = 2**60 frames
+        huge = b"HAGD" + struct.pack("<QqQQQQ", 1, 0, 1, 2**60, 25, 3)
+        for raw in (cut, huge):
+            p.write_bytes(raw)
+            with pytest.raises(FormatError, match="truncated"):
+                load_cache(p)
 
     def test_negative_label_round_trips(self, tmp_path):
         p = tmp_path / "n.hagd"

@@ -34,13 +34,13 @@ def tiny_input(rng, n=2, m=2, t=12, v=5, c=3):
 
 def test_param_count_ntu_default_hybrid():
     model = N.Model(N.ModelConfig.ntu_default(num_classes=60), seed=0)
-    assert N.param_count(model) == 1_422_544
+    assert model.param_count() == 1_422_544
 
 
 def test_param_count_ntu_single_branch():
     cfg = N.ModelConfig.ntu_default(num_classes=60).single_branch("rd")
     model = N.Model(cfg, seed=0)
-    assert N.param_count(model) == 1_347_418
+    assert model.param_count() == 1_347_418
 
 
 def test_param_count_gap_is_attention_branch_cost():

@@ -186,7 +186,7 @@ def test_single_shard_matches_direct_backward():
                        stats_sink=sink)
     loss_b = tr.cross_entropy(logits, y)
     b.zero_grad()
-    T.backward(loss_b)
+    loss_b.backward()
     for layer, mean, var in sink:
         layer.apply_stats(mean, var)
 
