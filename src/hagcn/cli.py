@@ -81,6 +81,8 @@ def cmd_train(args) -> int:
     unknown = set(file_cfg) - {"model", "train"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    if not all(isinstance(v, dict) for v in file_cfg.values()):
+        raise ConfigError("config sections must be JSON objects")
 
     train_seqs = load_cache(args.train_cache)
     if not train_seqs:
@@ -156,7 +158,8 @@ def cmd_eval(args) -> int:
         x, _ = assemble_batch([seqs[args.mask_sample]], model.config.graph,
                               stream=args.stream, max_frames=args.max_frames)
         paths = export_masks(model, x, args.export_masks,
-                             block=args.mask_block, sample=0)
+                             block=args.mask_block, sample=0,
+                             disable=args.disable)
         print(f"wrote {len(paths)} mask files to {args.export_masks}")
     return 0
 

@@ -200,9 +200,10 @@ def read_pgm(path) -> np.ndarray:
 
 
 def export_masks(model: Model, x, out_dir, block: int = 0, sample: int = 0,
-                 prefix: str = "mask") -> list:
+                 prefix: str = "mask", disable: str = "none") -> list:
     """Write per-subset CSV and PGM mask images; returns written paths."""
-    masks = capture_masks(model, x, block=block, sample=sample)
+    masks = capture_masks(model, x, block=block, sample=sample,
+                          disable=disable)
     paths = []
     for i, mask in enumerate(masks):
         base = os.path.join(str(out_dir), f"{prefix}_subset{i}")

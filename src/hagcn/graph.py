@@ -102,6 +102,8 @@ class GraphSpec:
                        extra_links=bool(d.get("extra_links", False)))
         except KeyError as e:
             raise FormatError(f"graph dict missing key {e}") from e
+        except TypeError as e:
+            raise FormatError(f"malformed graph dict: {e}") from e
 
 
 def parse_edge_text(text: str) -> GraphSpec:

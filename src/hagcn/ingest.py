@@ -36,6 +36,9 @@ class SkeletonSequence:
         self.coords = np.asarray(self.coords, dtype=np.float64)
         if self.coords.ndim != 4:
             raise ValueError("coords must be (persons, frames, joints, channels)")
+        if not np.isfinite(self.coords).all():
+            raise FormatError(f"non-finite coordinates in "
+                              f"{self.source_id or 'sequence'}")
         if self.valid_frames < 0:
             self.valid_frames = self.coords.shape[1]
         if self.valid_frames > self.coords.shape[1]:

@@ -59,42 +59,6 @@ class Layer:
     def param_count(self) -> int:
         return sum(p.data.size for _, p in self.named_params())
 
-    def zero_grad(self):
-        for _, p in self.named_params():
-            p.grad = None
-
-    def _resolve(self, path: str):
-        parts = path.split(".")
-        obj = self
-        for part in parts[:-1]:
-            obj = obj[int(part)] if isinstance(obj, (list, tuple)) else getattr(obj, part)
-        return obj, parts[-1]
-
-    def set_param(self, path: str, value: Tensor):
-        """Swap the Tensor object at an attribute path (gradient checking)."""
-        owner, leaf = self._resolve(path)
-        if isinstance(owner, (list, tuple)):
-            owner[int(leaf)] = value
-        else:
-            setattr(owner, leaf, value)
-
-    def load_param(self, path: str, data: np.ndarray):
-        """Copy values into an existing parameter, keeping its identity."""
-        owner, leaf = self._resolve(path)
-        target = owner[int(leaf)] if isinstance(owner, (list, tuple)) else getattr(owner, leaf)
-        if target.data.shape != data.shape:
-            raise ValueError(f"shape mismatch for {path}: "
-                             f"{target.data.shape} vs {data.shape}")
-        target.data[...] = data
-
-    def load_buffer(self, path: str, data: np.ndarray):
-        owner, leaf = self._resolve(path)
-        target = getattr(owner, leaf)
-        if target.shape != data.shape:
-            raise ValueError(f"shape mismatch for {path}: "
-                             f"{target.shape} vs {data.shape}")
-        target[...] = data
-
 
 class BatchNorm(Layer):
     """Batch normalization layer owning affine params and running stats."""

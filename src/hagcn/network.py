@@ -95,7 +95,11 @@ class ModelConfig:
             raise ConfigError(f"model config missing keys: {sorted(missing)}")
         kw = dict(d)
         kw["graph"] = GraphSpec.from_dict(d["graph"])
-        return cls(**kw)
+        try:
+            return cls(**kw)
+        except TypeError as e:
+            raise ConfigError(f"model config value of the wrong type: "
+                              f"{e}") from e
 
 
 class Block(Layer):
@@ -146,7 +150,6 @@ class Model(Layer):
         self.fc_w = uniform_init(rng, (config.num_classes, c_prev), c_prev)
         self.fc_b = zeros_param(config.num_classes)
         self.config = config
-        self.init_seed = seed
 
     def forward(self, x, training: bool = False,
                 rng: np.random.Generator = None, disable: str = "none",
@@ -209,31 +212,44 @@ def save_checkpoint(path, model: Model, epoch: int = 0, optimizer=None) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild (model, epoch, optimizer_state) from a checkpoint file."""
+    """Rebuild (model, epoch, optimizer_state) from a checkpoint file.
+
+    Stored tensors must match the configured model's parameter and buffer
+    names and shapes; they are copied into the model's own arrays.
+    """
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
         header = read_json_block(f)
+        if not isinstance(header, dict):
+            raise FormatError("checkpoint header must be a JSON object")
         if header.get("format_version") != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version "
                               f"{header.get('format_version')}")
+        if not isinstance(header.get("config"), dict):
+            raise FormatError("checkpoint header lacks a config object")
+        if not isinstance(header.get("epoch", 0), int):
+            raise FormatError("checkpoint epoch must be an integer")
+        try:
+            model = Model(ModelConfig.from_dict(header["config"]), seed=0)
+        except ConfigError as e:
+            raise FormatError(f"checkpoint config: {e}") from e
         params = read_named_tensors(f)
         buffers = read_named_tensors(f)
         opt_state = read_named_tensors(f)
 
-    config = ModelConfig.from_dict(header["config"])
-    model = Model(config, seed=0)
-    want_params = dict(model.named_params())
-    if set(params) != set(want_params):
-        raise FormatError("checkpoint parameter names do not match the "
-                          "configured model")
-    want_buffers = dict(model.named_buffers())
-    if set(buffers) != set(want_buffers):
-        raise FormatError("checkpoint buffer names do not match the "
-                          "configured model")
-    for name, arr in params.items():
-        model.load_param(name, arr)
-    for name, arr in buffers.items():
-        model.load_buffer(name, arr)
-    return model, int(header.get("epoch", 0)), opt_state
+    for kind, stored, targets in (
+            ("parameter", params,
+             {n: p.data for n, p in model.named_params()}),
+            ("buffer", buffers, dict(model.named_buffers()))):
+        if set(stored) != set(targets):
+            raise FormatError(f"checkpoint {kind} names do not match the "
+                              f"configured model")
+        for name, arr in stored.items():
+            if arr.shape != targets[name].shape:
+                raise FormatError(f"checkpoint {kind} {name} has shape "
+                                  f"{arr.shape}, model expects "
+                                  f"{targets[name].shape}")
+            targets[name][...] = arr
+    return model, header.get("epoch", 0), opt_state

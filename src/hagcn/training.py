@@ -83,11 +83,12 @@ class SGD:
     def _decays(self, name: str) -> bool:
         return name.split(".")[-1] not in self.SKIP_DECAY
 
-    def step(self):
+    def step(self, grads: dict):
+        """Update from ``{param name: gradient}``; absent names are skipped."""
         for name, p in self.params:
-            if p.grad is None:
+            g = grads.get(name)
+            if g is None:
                 continue
-            g = p.grad
             if self.weight_decay and self._decays(name):
                 g = g + self.weight_decay * p.data
             v = self.velocity[name]
@@ -128,12 +129,13 @@ def shard_batch(x: np.ndarray, labels: np.ndarray, micro_batch: int = 0):
 
 
 def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
-    """Backprop the mean cross entropy over shards into the model.
+    """Backprop the mean cross entropy over shards.
 
     Each shard runs a full training forward/backward with its own gradient
     map and deferred batch-norm statistics, so shards never race. Results
     are folded in shard index order regardless of which thread finished
-    first. Returns (mean loss, stacked logits in input order).
+    first. Returns (mean loss, stacked logits in input order,
+    ``{param name: gradient}``); the model's parameters are left untouched.
     """
     if not shards:
         raise ValueError("no shards to process")
@@ -160,20 +162,20 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
         with ThreadPoolExecutor(max_workers=threads) as ex:
             list(ex.map(run, range(len(shards))))
 
-    params = [p for _, p in model.named_params()]
+    params = list(model.named_params())
+    grads = {}
     mean_loss = 0.0
     for i in range(len(shards)):
-        grads, sink, loss_i, _ = results[i]
-        for p in params:
-            g = grads.get(id(p))
-            if g is None:
-                continue
-            p.grad = g if p.grad is None else p.grad + g
+        shard_grads, sink, loss_i, _ = results[i]
+        for name, p in params:
+            g = shard_grads.get(id(p))
+            if g is not None:
+                grads[name] = g if name not in grads else grads[name] + g
         for layer, mean, var in sink:
             layer.apply_stats(mean, var)
         mean_loss += loss_i * (len(shards[i][1]) / n_total)
     logits = np.concatenate([r[3] for r in results], axis=0)
-    return mean_loss, logits
+    return mean_loss, logits, grads
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +348,11 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown training config keys: "
                               f"{sorted(unknown)}")
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as e:
+            raise ConfigError(f"training config value of the wrong type: "
+                              f"{e}") from e
 
 
 HISTORY_FIELDS = ("epoch", "lr", "train_loss", "train_acc", "val_acc")
@@ -393,12 +399,12 @@ def train(model: Model, train_seqs, val_seqs=None,
                                        max_persons=cfg.max_persons,
                                        augment=cfg.augment, rng=rng)
             shards = shard_batch(x, labels, cfg.micro_batch)
-            model.zero_grad()
-            loss, logits = accumulate_gradients(model, shards, rng, threads)
+            loss, logits, grads = accumulate_gradients(model, shards, rng,
+                                                       threads)
             if not np.isfinite(loss) or loss > loss_ceiling:
                 raise TrainingDiverged(
                     f"loss {loss} at epoch {epoch} step {start // cfg.batch_size}")
-            opt.step()
+            opt.step(grads)
             loss_sum += loss * len(labels)
             correct += int((np.argmax(logits, axis=1) == labels).sum())
         val_acc = float("nan")

@@ -184,16 +184,16 @@ class TestLayerApi:
         assert err < 1e-6
         alpha = layer.subsets[0].alpha
         err_a = grad_check(
-            lambda t: _with_param(layer, "subsets.0.alpha", t,
-                                  Tensor(xdata)), alpha)
+            lambda t: _with_alpha(layer, t, Tensor(xdata)), alpha)
         assert err_a < 1e-6
 
 
-def _with_param(layer, path, tensor, x):
-    old_owner, leaf = layer._resolve(path)
-    old = getattr(old_owner, leaf)
-    layer.set_param(path, tensor)
+def _with_alpha(layer, alpha, x):
+    """Forward with the first subset's alpha swapped for ``alpha``."""
+    subset = layer.subsets[0]
+    old = subset.alpha
+    subset.alpha = alpha
     try:
         return layer.forward(x)
     finally:
-        layer.set_param(path, old)
+        subset.alpha = old

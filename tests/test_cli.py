@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from hagcn import cli
-from hagcn.evaluation import read_mask_csv, read_pgm
-from hagcn.ingest import load_cache
+from hagcn.evaluation import capture_masks, read_mask_csv, read_pgm
+from hagcn.ingest import assemble_batch, load_cache
+from hagcn.network import load_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -130,9 +131,15 @@ def test_train_infers_num_classes_from_cache(tmp_path):
 
 def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     cache = make_cache(tmp_path, "train.hagd")
+    # unknown keys, then values of the wrong type
     for bad in ({"mode": {}},
                 {"model": {"num_classes": 3, "optimizer": "adam"}},
-                {"train": {"epochs": 1, "warmup": 5}}):
+                {"train": {"epochs": 1, "warmup": 5}},
+                {"model": {"channels": 5}},
+                {"train": {"epochs": "2"}},
+                {"model": {"graph": {"num_joints": [1]}}},
+                {"model": [1]},
+                {"train": 5}):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(bad))
         code = run(["train", "--train-cache", cache, "--config",
@@ -222,15 +229,25 @@ def test_eval_mask_export(trained):
     assert run(["eval", "--checkpoint", trained["ckpt"], "--cache",
                 trained["val"], "--out", out, "--max-frames", "12",
                 "--export-masks", mask_dir, "--mask-block", "1",
-                "--mask-sample", "2"]) == 0
+                "--mask-sample", "2", "--disable", "ra"]) == 0
     files = sorted(os.listdir(mask_dir))
     assert files == ["mask_subset0.csv", "mask_subset0.pgm",
                      "mask_subset1.csv", "mask_subset1.pgm",
                      "mask_subset2.csv", "mask_subset2.pgm"]
-    mask = read_mask_csv(os.path.join(mask_dir, "mask_subset1.csv"))
-    assert mask.shape == (25, 25)
     img = read_pgm(os.path.join(mask_dir, "mask_subset1.pgm"))
     assert img.shape == (25, 25)
+    # the files hold the knocked-out model's masks, not the intact ones
+    model, _, _ = load_checkpoint(trained["ckpt"])
+    x, _ = assemble_batch([load_cache(trained["val"])[2]], model.config.graph,
+                          max_frames=12)
+    knocked = capture_masks(model, x, block=1, disable="ra")
+    intact = capture_masks(model, x, block=1)
+    for i, mask in enumerate(knocked):
+        written = read_mask_csv(os.path.join(mask_dir,
+                                             f"mask_subset{i}.csv"))
+        assert written.shape == (25, 25)
+        assert np.array_equal(written, mask)
+        assert not np.array_equal(written, intact[i])
 
 
 def test_eval_rejects_oversized_cache_header(trained, tmp_path, capsys):

@@ -60,9 +60,12 @@ class TestNtuParser:
             parse_ntu_skeleton("1\n1\nmeta\n24\n")
 
     def test_unparseable_real(self):
-        bad = "1\n1\nmeta\n25\n" + "a b c\n" * 25
-        with pytest.raises(FormatError, match="unparseable"):
-            parse_ntu_skeleton(bad)
+        for joint, match in (("a b c", "unparseable"),
+                             ("0 nan 0", "non-finite"),
+                             ("0 0 -inf", "non-finite")):
+            bad = "1\n1\nmeta\n25\n" + f"{joint}\n" * 25
+            with pytest.raises(FormatError, match=match):
+                parse_ntu_skeleton(bad)
 
 
 class TestOpenposeParser:
@@ -97,6 +100,13 @@ class TestOpenposeParser:
     def test_top_level_must_be_object(self):
         with pytest.raises(FormatError, match="object"):
             parse_openpose_json("[1, 2]")
+
+    def test_non_finite_real(self):
+        pose = ", ".join(["NaN"] + ["0"] * 35)
+        score = ", ".join(["0.5"] * 18)
+        with pytest.raises(FormatError, match="non-finite"):
+            parse_openpose_json('{"data": [{"skeleton": [{"pose": '
+                                f'[{pose}], "score": [{score}]}}]}}]}}')
 
 
 class TestStreams:
@@ -250,6 +260,15 @@ class TestCache:
             p.write_bytes(raw)
             with pytest.raises(FormatError, match="truncated"):
                 load_cache(p)
+
+    def test_non_finite_coordinates(self, tmp_path):
+        p = tmp_path / "nan.hagd"
+        coords = np.zeros((1, 2, 2, 3))
+        coords[0, 1, 0, 2] = np.nan
+        p.write_bytes(b"HAGD" + struct.pack("<QqQQQQ", 1, 0, 1, 2, 2, 3)
+                      + coords.astype("<f8").tobytes())
+        with pytest.raises(FormatError, match="non-finite"):
+            load_cache(p)
 
     def test_negative_label_round_trips(self, tmp_path):
         p = tmp_path / "n.hagd"

@@ -316,20 +316,24 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_mismatched_params(tmp_path):
-    # header says hybrid attention, tensors come from a single-branch model
     hybrid = N.Model(tiny_config(), seed=0)
     single = N.Model(tiny_config(attention="rd"), seed=0)
     path = tmp_path / "m.hagc"
-    with open(path, "wb") as f:
-        f.write(N.CHECKPOINT_MAGIC)
-        write_json_block(f, {"format_version": N.CHECKPOINT_VERSION,
-                             "config": hybrid.config.to_dict(), "epoch": 0})
-        write_named_tensors(f, [(n, p.data)
-                               for n, p in single.named_params()])
-        write_named_tensors(f, single.named_buffers())
-        write_named_tensors(f, [])
-    with pytest.raises(FormatError, match="parameter names"):
-        N.load_checkpoint(path)
+    # the header always says hybrid attention; the tensors come from a
+    # single-branch model, then from the hybrid one with fc_b a class short
+    for source, short, match in ((single, None, "parameter names"),
+                                 (hybrid, "fc_b", "fc_b has shape")):
+        with open(path, "wb") as f:
+            f.write(N.CHECKPOINT_MAGIC)
+            write_json_block(f, {"format_version": N.CHECKPOINT_VERSION,
+                                 "config": hybrid.config.to_dict(),
+                                 "epoch": 0})
+            write_named_tensors(f, [(n, p.data[:-1] if n == short else p.data)
+                                    for n, p in source.named_params()])
+            write_named_tensors(f, source.named_buffers())
+            write_named_tensors(f, [])
+        with pytest.raises(FormatError, match=match):
+            N.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
@@ -341,6 +345,27 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
                              "config": model.config.to_dict(), "epoch": 0})
     with pytest.raises(FormatError, match="version"):
         N.load_checkpoint(path)
+
+
+def test_checkpoint_rejects_malformed_header(tmp_path):
+    config = tiny_config().to_dict()
+    version = N.CHECKPOINT_VERSION
+    path = tmp_path / "m.hagc"
+    for header, match in (
+            ([1, 2], "JSON object"),
+            ({"format_version": version, "epoch": 0}, "config object"),
+            ({"format_version": version, "config": "tiny"}, "config object"),
+            ({"format_version": version, "config": config, "epoch": [3]},
+             "epoch"),
+            ({"format_version": version,
+              "config": dict(config, graph="ntu25")}, "graph"),
+            ({"format_version": version,
+              "config": dict(config, channels=8)}, "wrong type")):
+        with open(path, "wb") as f:
+            f.write(N.CHECKPOINT_MAGIC)
+            write_json_block(f, header)
+        with pytest.raises(FormatError, match=match):
+            N.load_checkpoint(path)
 
 
 # -- gradients --------------------------------------------------------------

@@ -84,8 +84,7 @@ def test_sgd_plain_step_with_decay():
     opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1,
                  nesterov=False)
     p = layer._items[0][1]
-    p.grad = np.array([1.0])
-    opt.step()
+    opt.step({"w": np.array([1.0])})
     # g = 1 + 0.1*2 = 1.2; p = 2 - 0.5*1.2
     np.testing.assert_allclose(p.data, [1.4], atol=1e-15)
 
@@ -96,8 +95,7 @@ def test_sgd_skips_decay_for_norm_and_alpha():
         opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1,
                      nesterov=False)
         p = layer._items[0][1]
-        p.grad = np.array([1.0])
-        opt.step()
+        opt.step({f"blocks.0.bn.{leaf}": np.array([1.0])})
         np.testing.assert_allclose(p.data, [1.5], atol=1e-15)
 
 
@@ -106,8 +104,7 @@ def test_sgd_decays_biases():
     opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1,
                  nesterov=False)
     p = layer._items[0][1]
-    p.grad = np.array([1.0])
-    opt.step()
+    opt.step({"blocks.0.spatial.subsets.0.val_b": np.array([1.0])})
     np.testing.assert_allclose(p.data, [1.4], atol=1e-15)
 
 
@@ -116,19 +113,17 @@ def test_sgd_nesterov_two_steps_hand_computed():
     opt = tr.SGD(layer, lr=0.1, momentum=0.9, weight_decay=0.0)
     p = layer._items[0][1]
     # step 1: v = 1, update = g + mu*v = 1.9, p = 1 - 0.19
-    p.grad = np.array([1.0])
-    opt.step()
+    opt.step({"w": np.array([1.0])})
     np.testing.assert_allclose(p.data, [0.81], atol=1e-15)
     # step 2: v = 0.9 + 0.5 = 1.4, update = 0.5 + 1.26 = 1.76
-    p.grad = np.array([0.5])
-    opt.step()
+    opt.step({"w": np.array([0.5])})
     np.testing.assert_allclose(p.data, [0.81 - 0.176], atol=1e-15)
 
 
 def test_sgd_skips_params_without_grad():
     layer = OneParam("w", [3.0])
     opt = tr.SGD(layer, lr=0.5)
-    opt.step()
+    opt.step({"other": np.array([1.0])})
     np.testing.assert_allclose(layer._items[0][1].data, [3.0])
 
 
@@ -177,25 +172,24 @@ def test_single_shard_matches_direct_backward():
     a = _fresh_model()
     b = _fresh_model()
 
-    a.zero_grad()
-    loss_a, _ = tr.accumulate_gradients(a, tr.shard_batch(x, y, 0),
-                                        np.random.default_rng(1), threads=1)
+    loss_a, _, grads = tr.accumulate_gradients(
+        a, tr.shard_batch(x, y, 0), np.random.default_rng(1), threads=1)
 
     sink = []
     logits = b.forward(x, training=True, rng=np.random.default_rng(99),
                        stats_sink=sink)
     loss_b = tr.cross_entropy(logits, y)
-    b.zero_grad()
     loss_b.backward()
     for layer, mean, var in sink:
         layer.apply_stats(mean, var)
 
     assert loss_a == float(loss_b.data)
-    ga = dict(a.named_params())
     gb = dict(b.named_params())
-    for name in ga:
-        assert ga[name].grad is not None, name
-        assert ga[name].grad.tobytes() == gb[name].grad.tobytes(), name
+    assert set(grads) == set(gb)
+    for name, g in grads.items():
+        assert g.tobytes() == gb[name].grad.tobytes(), name
+    for name, p in a.named_params():
+        assert p.grad is None, name  # accumulate_gradients leaves .grad alone
     for (_, ba), (_, bb) in zip(a.named_buffers(), b.named_buffers()):
         assert ba.tobytes() == bb.tobytes()
 
@@ -208,10 +202,9 @@ def test_thread_count_does_not_change_results(dropout):
         model = _fresh_model(dropout=dropout)
         opt = tr.SGD(model, lr=0.1)
         shards = tr.shard_batch(x, y, 2)
-        model.zero_grad()
-        loss, logits = tr.accumulate_gradients(
+        loss, logits, grads = tr.accumulate_gradients(
             model, shards, np.random.default_rng(7), threads=threads)
-        opt.step()
+        opt.step(grads)
         outs.append((loss, logits,
                      {n: p.data.copy() for n, p in model.named_params()},
                      {n: b.copy() for n, b in model.named_buffers()}))
@@ -227,9 +220,8 @@ def test_thread_count_does_not_change_results(dropout):
 def test_sharded_loss_matches_batch_mean():
     x, y = _batch()
     model = _fresh_model()
-    model.zero_grad()
-    loss, _ = tr.accumulate_gradients(model, tr.shard_batch(x, y, 2),
-                                      None, threads=1)
+    loss, _, _ = tr.accumulate_gradients(model, tr.shard_batch(x, y, 2),
+                                         None, threads=1)
     # per-shard means recombined with n_s/N weights equal the batch mean
     per_shard = []
     fresh = _fresh_model()
