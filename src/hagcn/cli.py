@@ -2,12 +2,17 @@
 
 Exit codes: 0 success, 1 bad input or configuration, 2 runtime failure.
 Errors print a single ``error: ...`` line on stderr. Worker threads for
-gradient shards come from the ``HAGCN_THREADS`` environment variable.
+gradient shards come from the ``HAGCN_THREADS`` environment variable; with
+more than one, ``train`` runs OpenBLAS single-threaded. On glibc, ``main``
+first sets the allocator to keep freed memory in the process (see
+``keep_heap``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -43,6 +48,83 @@ def _resolve_graph(value, extra_links: bool = True) -> GraphSpec:
     if isinstance(value, dict):
         return GraphSpec.from_dict(value)
     raise ConfigError("graph must be a builtin name or a graph dict")
+
+
+# ---------------------------------------------------------------------------
+# process set-up
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_heap() -> None:
+    """Let glibc keep freed activation memory for the next step.
+
+    By default glibc serves arrays over 128 KiB with fresh mmaps and returns
+    freed memory to the OS, so every training step faults its activations in
+    again. Arrays up to 32 MiB (glibc's ceiling) now come from the heap, and
+    up to 1 GiB of free heap is kept. Both are needed: a high trim threshold
+    alone pins the mmap threshold at 128 KiB. Results do not change. Not on
+    glibc this does nothing; the library never calls it, so programs that
+    import hagcn keep their own allocator settings.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+def _openblas_thread_fns():
+    """(get, set) thread-count functions of the OpenBLAS in this process.
+
+    Found through the libraries mapped into the process and their
+    ``*openblas_get_num_threads*`` symbols; None when there is no OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f
+                           if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name in ("scipy_openblas_get_num_threads64_",
+                         "openblas_get_num_threads64_",
+                         "openblas_get_num_threads"):
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, get_name.replace("_get_", "_set_"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _single_thread_blas(active: bool):
+    """Run OpenBLAS on one thread while shard threads do the parallel work;
+    two shard threads each starting BLAS threads oversubscribe the cores."""
+    fns = _openblas_thread_fns() if active else None
+    if fns is None:
+        yield
+        return
+    get, put = fns
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +201,10 @@ def cmd_train(args) -> int:
               f"loss {row['train_loss']:.4f}  "
               f"train {row['train_acc']:.3f}  val {row['val_acc']:.3f}")
 
-    history, opt = train(model, train_seqs, val_seqs=val_seqs,
-                         config=train_cfg, threads=threads, callback=report)
+    with _single_thread_blas(threads > 1):
+        history, opt = train(model, train_seqs, val_seqs=val_seqs,
+                             config=train_cfg, threads=threads,
+                             callback=report)
     write_history(os.path.join(args.out, "history.csv"), history)
     save_checkpoint(os.path.join(args.out, "model.hagc"), model,
                     epoch=train_cfg.epochs, optimizer=opt)
@@ -277,6 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

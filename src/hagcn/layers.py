@@ -79,17 +79,16 @@ class BatchNorm(Layer):
         self.running_var += m * var
 
     def forward(self, x, training: bool, stats_sink=None) -> Tensor:
-        if training:
-            xd = x.data if isinstance(x, Tensor) else np.asarray(x)
-            mean = xd.mean(axis=(0, 2, 3))
-            var = xd.var(axis=(0, 2, 3))
-            if stats_sink is None:
-                self.apply_stats(mean, var)
-            else:
-                # deferred so shard-parallel runs can apply updates in order
-                stats_sink.append((self, mean, var))
-            return T.batch_norm(x, self.gamma, self.beta, mean, var,
-                                batch_stats=True, eps=self.eps)
-        return T.batch_norm(x, self.gamma, self.beta,
-                            self.running_mean, self.running_var,
-                            batch_stats=False, eps=self.eps)
+        if not training:
+            return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
+                                self.running_var, eps=self.eps)
+        stats = []
+        y = T.batch_norm(x, self.gamma, self.beta, eps=self.eps,
+                         stats_out=stats)
+        (mean, var), = stats
+        if stats_sink is None:
+            self.apply_stats(mean, var)
+        else:
+            # deferred so shard-parallel runs can apply updates in order
+            stats_sink.append((self, mean, var))
+        return y

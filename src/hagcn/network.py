@@ -21,7 +21,8 @@ import numpy as np
 
 from . import tensor as T
 from .attention import BRANCH_MODES, HybridSpatialAttention
-from .errors import ConfigError, FormatError
+from .errors import (ConfigError, FormatError, config_bool, config_int,
+                     config_ints, config_real)
 from .graph import GraphSpec, build_graph
 from .layers import BatchNorm, Layer, uniform_init, zeros_param
 from .serialize import (read_json_block, read_named_tensors, write_json_block,
@@ -48,16 +49,22 @@ class ModelConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        self.channels = tuple(int(c) for c in self.channels)
-        self.strides = tuple(int(s) for s in self.strides)
+        self.num_classes = config_int("num_classes", self.num_classes)
+        self.in_channels = config_int("in_channels", self.in_channels)
+        self.channels = config_ints("channels", self.channels)
+        self.strides = config_ints("strides", self.strides)
+        config_bool("extension_conv", self.extension_conv)
+        config_real("dropout", self.dropout)
         if self.num_classes < 2:
             raise ConfigError("num_classes must be at least 2")
         if not self.channels:
             raise ConfigError("at least one block required")
         if len(self.channels) != len(self.strides):
             raise ConfigError("channels and strides must have equal length")
-        if any(c < 1 for c in self.channels) or any(s < 1 for s in self.strides):
-            raise ConfigError("channels and strides must be positive")
+        if self.in_channels < 1 or any(c < 1 for c in self.channels) \
+                or any(s < 1 for s in self.strides):
+            raise ConfigError("in_channels, channels and strides must be "
+                              "positive")
         if self.attention not in BRANCH_MODES:
             raise ConfigError(f"attention must be one of {BRANCH_MODES}")
         if self.temporal_mode not in TEMPORAL_MODES:
@@ -95,11 +102,7 @@ class ModelConfig:
             raise ConfigError(f"model config missing keys: {sorted(missing)}")
         kw = dict(d)
         kw["graph"] = GraphSpec.from_dict(d["graph"])
-        try:
-            return cls(**kw)
-        except TypeError as e:
-            raise ConfigError(f"model config value of the wrong type: "
-                              f"{e}") from e
+        return cls(**kw)
 
 
 class Block(Layer):
@@ -233,7 +236,7 @@ def load_checkpoint(path):
             raise FormatError("checkpoint epoch must be an integer")
         try:
             model = Model(ModelConfig.from_dict(header["config"]), seed=0)
-        except ConfigError as e:
+        except ValueError as e:  # ConfigError, or a graph GraphSpec rejects
             raise FormatError(f"checkpoint config: {e}") from e
         params = read_named_tensors(f)
         buffers = read_named_tensors(f)

@@ -59,7 +59,11 @@ def read_tensor(f) -> np.ndarray:
     for d in dims:
         count *= d
     data = np.frombuffer(_read_exact(f, 8 * count), dtype="<f8")
-    return np.array(data.reshape(dims), dtype=np.float64)
+    try:
+        data = data.reshape(dims)
+    except ValueError as e:  # a zero dim beside one numpy cannot index
+        raise FormatError(f"bad tensor dims {dims}: {e}") from e
+    return np.array(data, dtype=np.float64)
 
 
 def save_tensor(path, arr) -> None:
@@ -85,7 +89,10 @@ def read_string(f) -> str:
     (n,) = struct.unpack("<Q", _read_exact(f, 8))
     if n > 1 << 20:
         raise FormatError(f"implausible string length {n}")
-    return _read_exact(f, n).decode("utf-8")
+    try:
+        return _read_exact(f, n).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"string is not UTF-8: {e}") from e
 
 
 def write_json_block(f, obj) -> None:

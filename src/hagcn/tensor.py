@@ -8,6 +8,13 @@ normalization, pointwise nonlinearities, reductions, shape moves,
 concatenation and inverted dropout. ``backward`` walks the graph in reverse
 topological order and returns the leaf gradients by ``id``; ``grad_check``
 compares analytic gradients against central differences.
+
+Flows (the gradients travelling back along graph edges) follow one in-place
+rule: ``backward`` adds a node's second and later incoming flows in place
+only into a sum buffer it allocated itself. An array a closure returns may
+be a view of its upstream gradient, a read-only broadcast, or shared by two
+parents, so it is never written to. Kernels may reuse their own temporaries
+in place when that keeps every operation and its order unchanged.
 """
 
 from __future__ import annotations
@@ -105,10 +112,14 @@ class no_grad:
         return False
 
 
+def _needs_grad(parents) -> bool:
+    return _grad_enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, backward_fn) -> Tensor:
     """Build an op output, pruning graph edges when no parent needs grad."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _needs_grad(parents):
         out.requires_grad = True
         out.parents = tuple(parents)
         out._backward = backward_fn
@@ -246,14 +257,19 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
         # dW is one GEMM over all N*T_out*V per tap: per-sample products summed
         # over N round differently, enough to change what desk training learns
         gm = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
-        dxp = np.zeros_like(xp)
-        dw = np.zeros_like(w.data)
+        dw = np.empty_like(w.data)
         for it in range(k_t):
-            t0 = it * dilation
             dw[:, :, it, 0] = gm @ tap(it).transpose(0, 2, 1).reshape(-1, c_in)
-            dxp[:, :, t0:t0 + span:stride] += np.matmul(
-                wk[it].T, g3).reshape(n, c_in, t_out, v)
-        dx = dxp[:, :, pad:pad + t, :] if pad else dxp
+        if k_t == 1 and stride == 1 and not pad:
+            # the input gradient is the one product itself
+            dx = np.matmul(wk[0].T, g3).reshape(n, c_in, t, v)
+        else:
+            dxp = np.zeros_like(xp)
+            for it in range(k_t):
+                t0 = it * dilation
+                dxp[:, :, t0:t0 + span:stride] += np.matmul(
+                    wk[it].T, g3).reshape(n, c_in, t_out, v)
+            dx = dxp[:, :, pad:pad + t, :] if pad else dxp
         grads = [dx, dw]
         if b is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
@@ -267,15 +283,31 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
 # normalization
 
 
-def batch_norm(x, gamma, beta, mean, var, batch_stats: bool,
-               eps: float = 1e-5) -> Tensor:
+def _moments(xd: np.ndarray, axes: tuple, count: int):
+    """Mean, centred input, its square and biased variance over ``axes``.
+
+    ``sum / count`` on one centred array is exactly what ``np.mean`` and
+    ``np.var`` compute, so the statistics match theirs bit for bit. The
+    centred and squared arrays are fresh, for the caller to reuse.
+    """
+    mean = xd.sum(axis=axes, keepdims=True) / count
+    xc = xd - mean
+    sq = np.square(xc)
+    var = sq.sum(axis=axes, keepdims=True) / count
+    return mean, xc, sq, var
+
+
+def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
+               stats_out=None) -> Tensor:
     """Per-channel normalization over axes (N, T, V) of a 4-D input.
 
-    ``mean``/``var`` are plain (C,) arrays. With ``batch_stats=True`` they
-    must be the batch statistics of ``x`` over (N, T, V) (biased variance)
-    and the backward pass differentiates through them; with False they are
-    treated as constants (running statistics at eval time). The op never
-    mutates them; the owning layer maintains running state.
+    Without ``mean``/``var`` the batch statistics of ``x`` over (N, T, V)
+    (biased variance) are computed here and the backward pass differentiates
+    through them; ``stats_out``, a list, then receives them as a
+    ``(mean, var)`` pair of (C,) arrays. With ``mean``/``var`` given, those
+    plain (C,) arrays are treated as constants (running statistics at eval
+    time). The op never mutates them; the owning layer maintains running
+    state.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
@@ -283,27 +315,46 @@ def batch_norm(x, gamma, beta, mean, var, batch_stats: bool,
     n, c, t, v = x.data.shape
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError("batch_norm affine params must be (C,)")
+    batch_stats = mean is None
+    if batch_stats != (var is None):
+        raise ValueError("batch_norm takes both mean and var, or neither")
     axes = (0, 2, 3)
     count = n * t * v
     if count == 0:
         raise ValueError("batch_norm over an empty batch")
+    shape = (1, c, 1, 1)
+    gamma_r = gamma.data.reshape(shape)
 
-    ivar = 1.0 / np.sqrt(np.asarray(var, dtype=np.float64) + eps)
-    xhat = (x.data - np.asarray(mean, dtype=np.float64).reshape(1, c, 1, 1)) \
-        * ivar.reshape(1, c, 1, 1)
-    data = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    if batch_stats:
+        mean, xhat, out, var = _moments(x.data, axes, count)
+        if stats_out is not None:
+            stats_out.append((mean.reshape(c), var.reshape(c)))
+    else:
+        xhat = x.data - np.asarray(mean, dtype=np.float64).reshape(shape)
+        var = np.asarray(var, dtype=np.float64).reshape(shape)
+        # without a graph nothing reads xhat again: the output may overwrite it
+        out = np.empty_like(xhat) if _needs_grad((x, gamma, beta)) else xhat
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat *= ivar
+    data = np.multiply(xhat, gamma_r, out=out)
+    data += beta.data.reshape(shape)
 
     def back(g):
-        dgamma = (g * xhat).sum(axis=axes)
+        t = g * xhat
+        dgamma = t.sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        dxhat = g * gamma.data.reshape(1, c, 1, 1)
+        dx = g * gamma_r  # dxhat, turned into dx in place
         if batch_stats:
-            dx = (ivar.reshape(1, c, 1, 1) / count) * (
-                count * dxhat
-                - dxhat.sum(axis=axes, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+            # (ivar / count) * (count * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+            s1 = dx.sum(axis=axes, keepdims=True)
+            s2 = np.multiply(dx, xhat, out=t).sum(axis=axes, keepdims=True)
+            np.multiply(xhat, s2, out=t)
+            dx *= count
+            dx -= s1
+            dx -= t
+            dx *= ivar / count
         else:
-            dx = dxhat * ivar.reshape(1, c, 1, 1)
+            dx *= ivar
         return dx, dgamma, dbeta
 
     return _make(data, (x, gamma, beta), back)
@@ -319,19 +370,25 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise ValueError("layer_norm affine params must be (C,)")
     axes = (1, 2, 3)
     count = c * t * v
-    mu = x.data.mean(axis=axes, keepdims=True)
-    var = x.data.var(axis=axes, keepdims=True)
+    gamma_r = gamma.data.reshape(1, c, 1, 1)
+    _, xhat, out, var = _moments(x.data, axes, count)
     ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * ivar
-    data = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    xhat *= ivar
+    data = np.multiply(xhat, gamma_r, out=out)
+    data += beta.data.reshape(1, c, 1, 1)
 
     def back(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
+        t = g * xhat
+        dgamma = t.sum(axis=(0, 2, 3))
         dbeta = g.sum(axis=(0, 2, 3))
-        dxhat = g * gamma.data.reshape(1, c, 1, 1)
-        dx = ivar * (dxhat
-                     - dxhat.mean(axis=axes, keepdims=True)
-                     - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
+        dx = g * gamma_r  # dxhat, turned into dx in place
+        # ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+        m1 = dx.sum(axis=axes, keepdims=True) / count
+        m2 = np.multiply(dx, xhat, out=t).sum(axis=axes, keepdims=True) / count
+        np.multiply(xhat, m2, out=t)
+        dx -= m1
+        dx -= t
+        dx *= ivar
         return dx, dgamma, dbeta
 
     return _make(data, (x, gamma, beta), back)
@@ -528,9 +585,11 @@ def backward(loss: Tensor) -> dict:
         return {}
     order = _topo(loss)
     flows = {id(loss): np.ones_like(loss.data)}
+    owned = set()  # ids whose flow is a sum this walk allocated
     grads = {}
     for node in reversed(order):
         g = flows.pop(id(node), None)
+        owned.discard(id(node))
         if g is None:
             continue
         if node.requires_grad and not node.parents:
@@ -541,7 +600,13 @@ def backward(loss: Tensor) -> dict:
             if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)
-            flows[pid] = pg if pid not in flows else flows[pid] + pg
+            if pid not in flows:
+                flows[pid] = pg
+            elif pid in owned:
+                flows[pid] += pg
+            else:
+                flows[pid] = flows[pid] + pg
+                owned.add(pid)
     return grads
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, TrainingDiverged
+from .errors import (ConfigError, TrainingDiverged, config_int, config_ints,
+                     config_real)
 from .evaluation import score_dataset, topk_accuracy
 from .ingest import STREAMS, SkeletonSequence, assemble_batch
 from .network import Model
@@ -316,7 +317,12 @@ class TrainConfig:
     max_persons: int = 2
 
     def __post_init__(self):
-        self.milestones = tuple(int(m) for m in self.milestones)
+        for name in ("epochs", "batch_size", "micro_batch", "seed",
+                     "max_frames", "max_persons"):
+            setattr(self, name, config_int(name, getattr(self, name)))
+        self.milestones = config_ints("milestones", self.milestones)
+        for name in ("lr", "momentum", "weight_decay", "lr_factor"):
+            config_real(name, getattr(self, name))
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
         if self.batch_size < 1:
@@ -348,11 +354,7 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown training config keys: "
                               f"{sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"training config value of the wrong type: "
-                              f"{e}") from e
+        return cls(**d)
 
 
 HISTORY_FIELDS = ("epoch", "lr", "train_loss", "train_acc", "val_acc")

@@ -188,3 +188,55 @@ def randomize_layer(layer, rng, var_floor=0.3):
             buf[...] = rng.random(buf.shape) + var_floor
         else:
             buf[...] = rng.standard_normal(buf.shape) * 0.3
+
+
+# -- vectorized reference formulas ----------------------------------------------
+# The straightforward numpy expressions of the norm ops and their gradients.
+# The engine's kernels reuse temporaries and compute the statistics
+# themselves but keep every operation and its order, so tests hold them to
+# these bit for bit.
+
+
+def batch_norm_formula(x, gamma, beta, g, running=None, eps=1e-5):
+    """(out, dx, dgamma, dbeta, mean, var) of batch norm for upstream g;
+    batch statistics unless ``running=(mean, var)`` is given."""
+    axes = (0, 2, 3)
+    n_, c_, t_, v_ = x.shape
+    count = n_ * t_ * v_
+    shape = (1, c_, 1, 1)
+    if running is None:
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+    else:
+        mean, var = running
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean.reshape(shape)) * ivar.reshape(shape)
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    dgamma = (g * xhat).sum(axis=axes)
+    dbeta = g.sum(axis=axes)
+    dxhat = g * gamma.reshape(shape)
+    if running is None:
+        dx = (ivar.reshape(shape) / count) * (
+            count * dxhat
+            - dxhat.sum(axis=axes, keepdims=True)
+            - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+    else:
+        dx = dxhat * ivar.reshape(shape)
+    return out, dx, dgamma, dbeta, mean, var
+
+
+def layer_norm_formula(x, gamma, beta, g, eps=1e-5):
+    """(out, dx, dgamma, dbeta) of layer norm for upstream g."""
+    axes = (1, 2, 3)
+    shape = (1, x.shape[1], 1, 1)
+    mu = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * ivar
+    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
+    dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    dbeta = g.sum(axis=(0, 2, 3))
+    dxhat = g * gamma.reshape(shape)
+    dx = ivar * (dxhat
+                 - dxhat.mean(axis=axes, keepdims=True)
+                 - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
+    return out, dx, dgamma, dbeta

@@ -139,7 +139,17 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
                 {"train": {"epochs": "2"}},
                 {"model": {"graph": {"num_joints": [1]}}},
                 {"model": [1]},
-                {"train": 5}):
+                {"train": 5},
+                {"train": {"epochs": 1.5}},
+                {"train": {"batch_size": 4.0}},
+                {"train": {"micro_batch": 2.5}},
+                {"train": {"max_frames": 12.0}},
+                {"train": {"seed": 1.5}},
+                {"train": {"lr": True}},
+                {"model": {"num_classes": 3.5}},
+                {"model": {"extension_conv": "false"}},
+                {"model": {"channels": [8.7, 8], "strides": [1, 1]}},
+                {"model": {"num_classes": True}}):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(bad))
         code = run(["train", "--train-cache", cache, "--config",
@@ -341,6 +351,64 @@ def test_missing_checkpoint_is_input_error(tmp_path, capsys):
                 "--cache", str(tmp_path / "no.hagd"),
                 "--out", str(tmp_path / "r.json")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+BLAS_PROBE = """
+import ctypes, json, sys
+from hagcn import cli
+
+def blas_threads():
+    with open("/proc/self/maps") as f:
+        libs = sorted({l.split()[-1] for l in f
+                       if "openblas" in l.lower() and "/" in l})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, sym):
+                getattr(lib, sym).restype = ctypes.c_int
+                return getattr(lib, sym)()
+    return None
+
+seen = {"before": blas_threads()}
+train = cli.train
+
+def spy(*args, **kwargs):
+    seen["during"] = blas_threads()
+    return train(*args, **kwargs)
+
+cli.train = spy
+seen["code"] = cli.main(sys.argv[1:])
+seen["after"] = blas_threads()
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_pins_blas_under_shard_threads(tmp_path, threads):
+    cache = make_cache(tmp_path, "train.hagd")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
+                                       "src"))
+    env = {k: v for k, v in os.environ.items() if k not in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    env["HAGCN_THREADS"] = threads
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE, "train", "--train-cache", cache,
+         "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    if seen["before"] is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    if seen["before"] == 1:
+        pytest.skip("OpenBLAS starts with one thread on this host")
+    assert seen["code"] == 0
+    # pinned to one thread only while shard threads train, then restored
+    assert seen["during"] == (1 if threads == "2" else seen["before"])
+    assert seen["after"] == seen["before"]
 
 
 def test_console_script_installed():

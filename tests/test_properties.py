@@ -1,18 +1,24 @@
 """Randomized structural invariants (hypothesis)."""
 
 import io
+import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hagcn import attention as A
+from hagcn import cli
 from hagcn import network as N
 from hagcn import tensor as T
-from hagcn.graph import GraphSpec, normalize_columns
+from hagcn.errors import FormatError
+from hagcn.graph import GraphSpec, build_graph, normalize_columns
+from hagcn.ingest import load_cache, save_cache
 from hagcn.serialize import read_tensor, write_tensor
+from hagcn.training import make_synthetic
 
 from test_network import tiny_config, tiny_graph
 
@@ -115,3 +121,70 @@ def test_tensor_blob_round_trip_property(arr):
     out = read_tensor(buf)
     assert out.shape == arr.shape
     assert out.tobytes() == arr.tobytes()
+
+
+# -- hostile files: byte mutations and truncations of valid caches and
+# checkpoints fail with FormatError and nothing else
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of a small valid HAGD cache and a HAGC checkpoint that scores it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cache, ckpt = str(root / "seqs.hagd"), str(root / "model.hagc")
+    save_cache(cache, make_synthetic(1, frames=6, classes=3))
+    cfg = N.ModelConfig(num_classes=3, graph=build_graph("ntu25"),
+                        channels=(8,), strides=(1,), dropout=0.0)
+    N.save_checkpoint(ckpt, N.Model(cfg, seed=0), epoch=1)
+    with open(cache, "rb") as f, open(ckpt, "rb") as g:
+        return {"hagd": f.read(), "hagc": g.read()}
+
+
+def mutate(raw, edits, cut):
+    buf = bytearray(raw)
+    for pos, byte in edits:
+        buf[pos % len(buf)] = byte
+    return bytes(buf[:cut % (len(buf) + 1)] if cut is not None else buf)
+
+
+EDITS = st.lists(st.tuples(st.integers(0, 2 ** 20), st.integers(0, 255)),
+                 max_size=4)
+CUTS = st.none() | st.integers(0, 2 ** 20)
+
+
+def loads_or_format_error(load, raw) -> bool:
+    """True if the bytes load; False on FormatError; anything else raises."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f")
+        with open(path, "wb") as f:
+            f.write(raw)
+        try:
+            load(path)
+        except FormatError:
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["hagd", "hagc"]), EDITS, CUTS)
+def test_mutated_files_raise_only_format_error(valid_files, kind, edits, cut):
+    load = load_cache if kind == "hagd" else N.load_checkpoint
+    loads_or_format_error(load, mutate(valid_files[kind], edits, cut))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["hagd", "hagc"]), EDITS, CUTS)
+def test_eval_on_mutated_files_exits_one(valid_files, kind, edits, cut):
+    raw = mutate(valid_files[kind], edits, cut)
+    load = load_cache if kind == "hagd" else N.load_checkpoint
+    ok = loads_or_format_error(load, raw)
+    with tempfile.TemporaryDirectory() as d:
+        files = {}
+        for name, data in valid_files.items():
+            files[name] = os.path.join(d, "f." + name)
+            with open(files[name], "wb") as f:
+                f.write(raw if name == kind else data)
+        code = cli.main(["eval", "--checkpoint", files["hagc"], "--cache",
+                         files["hagd"], "--out", os.path.join(d, "r.json")])
+    # a file that loads can still be refused, e.g. a graph whose joint
+    # count no longer matches the cache
+    assert code == 1 if not ok else code in (0, 1)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+import brute
 from hagcn import serialize
 from hagcn import tensor as T
 from hagcn.errors import FormatError, NondeterminismError
@@ -80,26 +81,20 @@ class TestForwardValues:
     def test_batch_norm_constant_input_is_beta(self):
         x = Tensor(np.full((2, 3, 2, 2), 5.0))
         gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        out = T.batch_norm(x, gamma, beta, mean, var, batch_stats=True)
+        out = T.batch_norm(x, gamma, beta)
         assert np.array_equal(out.data, np.zeros((2, 3, 2, 2)))
 
     def test_batch_norm_normalizes_per_channel(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((4, 3, 5, 6)) * 3.0 + 1.5
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
-        out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                           mean, var, batch_stats=True)
+        out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
         assert np.allclose(out.data.var(axis=(0, 2, 3)), 1.0, atol=1e-4)
 
     def test_batch_norm_empty_batch(self):
         with pytest.raises(ValueError):
             T.batch_norm(Tensor(np.ones((0, 3, 2, 2))), Tensor(np.ones(3)),
-                         Tensor(np.zeros(3)), np.zeros(3), np.ones(3),
-                         batch_stats=True)
+                         Tensor(np.zeros(3)))
 
     def test_layer_norm_per_sample(self):
         # two samples with different constant values both normalize to beta
@@ -270,24 +265,18 @@ class TestNormGradients:
         gamma = Tensor(rng.standard_normal(3) + 1.0, requires_grad=True)
         beta = Tensor(rng.standard_normal(3), requires_grad=True)
 
-        def fn(t):
-            m = t.data.mean(axis=(0, 2, 3))
-            v = t.data.var(axis=(0, 2, 3))
-            return T.batch_norm(t, gamma, beta, m, v, batch_stats=True)
-
+        fn = lambda t: T.batch_norm(t, gamma, beta)
         assert grad_check(fn, randt((3, 3, 4, 2), seed=4)) < 1e-5
         x = Tensor(np.random.default_rng(4).standard_normal((3, 3, 4, 2)))
-        m = x.data.mean(axis=(0, 2, 3))
-        v = x.data.var(axis=(0, 2, 3))
-        assert grad_check(lambda t: T.batch_norm(x, t, beta, m, v, True), gamma) < 1e-6
-        assert grad_check(lambda t: T.batch_norm(x, gamma, t, m, v, True), beta) < 1e-6
+        assert grad_check(lambda t: T.batch_norm(x, t, beta), gamma) < 1e-6
+        assert grad_check(lambda t: T.batch_norm(x, gamma, t), beta) < 1e-6
 
     def test_batch_norm_eval_mode(self):
         rng = np.random.default_rng(1)
         gamma = Tensor(rng.standard_normal(3), requires_grad=True)
         beta = Tensor(rng.standard_normal(3), requires_grad=True)
         rm, rv = rng.standard_normal(3), rng.random(3) + 0.5
-        fn = lambda t: T.batch_norm(t, gamma, beta, rm, rv, batch_stats=False)
+        fn = lambda t: T.batch_norm(t, gamma, beta, rm, rv)
         assert grad_check(fn, randt((2, 3, 3, 2), seed=9)) < 1e-6
 
     def test_layer_norm(self):
@@ -305,6 +294,142 @@ class TestNormGradients:
             return T.dropout(t, 0.4, np.random.default_rng(123))
 
         assert grad_check(fn, randt((5, 5), seed=3)) < 1e-6
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def upstream_layouts(shape, seed):
+    """The same upstream gradient as a C array, a transposed view and a
+    read-only broadcast, the layouts closures hand to the norm kernels."""
+    rng = np.random.default_rng(seed)
+    n, c, t, v = shape
+    yield rng.standard_normal(shape)
+    yield np.swapaxes(rng.standard_normal((n, c, v, t)), 2, 3)
+    yield np.broadcast_to(rng.standard_normal((1, c, 1, v)), shape)
+
+
+class TestKernelsMatchFormulas:
+    """The pass-lean norm and conv kernels keep the plain formulas' bits."""
+
+    def test_batch_norm_stats_are_numpy_mean_and_var(self):
+        x = np.random.default_rng(0).standard_normal((5, 16, 7, 9)) * 3.0 + 1.5
+        stats = []
+        T.batch_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16)),
+                     stats_out=stats)
+        (mean, var), = stats
+        assert same_bits(mean, x.mean(axis=(0, 2, 3)))
+        assert same_bits(var, x.var(axis=(0, 2, 3)))
+
+    @pytest.mark.parametrize("running", [False, True])
+    def test_batch_norm_matches_formula(self, running):
+        rng = np.random.default_rng(1)
+        shape = (3, 4, 7, 5)
+        x = rng.standard_normal(shape) * 2.0 - 0.5
+        gamma, beta = rng.standard_normal(4) + 1.0, rng.standard_normal(4)
+        stats = (rng.standard_normal(4), rng.random(4) + 0.5) if running else None
+        for g in upstream_layouts(shape, seed=2):
+            xt, gt, bt = (Tensor(a.copy(), requires_grad=True)
+                          for a in (x, gamma, beta))
+            out = T.batch_norm(xt, gt, bt, *(stats or ()))
+            want = brute.batch_norm_formula(x, gamma, beta, g, running=stats)
+            assert same_bits(out.data, want[0])
+            for got, ref in zip(out._backward(g), want[1:4]):
+                assert same_bits(got, ref)
+        with T.no_grad():  # the in-place eval path
+            out = T.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta),
+                               *(stats or ()))
+        assert same_bits(out.data, want[0])
+
+    def test_layer_norm_matches_formula(self):
+        rng = np.random.default_rng(3)
+        shape = (12, 4, 6, 5)
+        x = rng.standard_normal(shape) * 1.5 + 0.7
+        gamma, beta = rng.standard_normal(4) + 1.0, rng.standard_normal(4)
+        for g in upstream_layouts(shape, seed=4):
+            xt, gt, bt = (Tensor(a.copy(), requires_grad=True)
+                          for a in (x, gamma, beta))
+            out = T.layer_norm(xt, gt, bt)
+            want = brute.layer_norm_formula(x, gamma, beta, g)
+            assert same_bits(out.data, want[0])
+            for got, ref in zip(out._backward(g), want[1:]):
+                assert same_bits(got, ref)
+
+    def test_direct_1x1_conv_backward_matches_tap_loop(self):
+        # a pad=1 3x1 kernel with zero outer taps runs the general tap loop
+        # over the same products; only the sign of zeros may differ
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 10, 4))
+        w1 = rng.standard_normal((5, 3, 1, 1))
+        w3 = np.zeros((5, 3, 3, 1))
+        w3[:, :, 1:2] = w1
+        b = rng.standard_normal(5)
+        g = rng.standard_normal((2, 5, 10, 4))
+        direct = T.conv2d(Tensor(x, True), Tensor(w1, True), Tensor(b, True))
+        loop = T.conv2d(Tensor(x, True), Tensor(w3, True), Tensor(b, True),
+                        pad=1)
+        dx, dw, db = direct._backward(g)
+        lx, lw, lb = loop._backward(g)
+        assert same_bits(direct.data + 0.0, loop.data + 0.0)
+        assert same_bits(dx + 0.0, lx + 0.0)
+        assert same_bits(dw, lw[:, :, 1:2])
+        assert same_bits(db, lb)
+
+
+class TestFlowAccumulation:
+    """Fan-in sums are added in place only into buffers backward allocated."""
+
+    @staticmethod
+    def record_returns(loss):
+        """Wrap every closure so each array it returns is snapshotted."""
+        seen = []
+        for node in T._topo(loss):
+            if node._backward is None:
+                continue
+
+            def wrapped(g, fn=node._backward):
+                out = fn(g)
+                seen.extend((a, np.array(a)) for a in out if a is not None)
+                return out
+
+            node._backward = wrapped
+        return seen
+
+    def check(self, loss, leaves, want):
+        before = [np.array(p.data) for p in leaves]
+        seen = self.record_returns(loss)
+        grads = backward(loss)
+        for p, data, w in zip(leaves, before, want):
+            assert same_bits(p.data, data)
+            assert np.array_equal(grads[id(p)], w)
+        assert seen and all(same_bits(a, copy) for a, copy in seen)
+
+    def test_add_of_self(self):
+        # y = x + x hands x two views of one array (read-only broadcasts of
+        # the tsum gradient), then two more flows arrive
+        x = randt((3, 4), seed=6)
+        y = T.add(x, x)
+        loss = T.tsum(T.add(T.add(y, x), T.mul(x, 2.0)))
+        self.check(loss, [x], [np.full((3, 4), 5.0)])
+
+    def test_reshape_fan_out(self):
+        x = randt((2, 6), seed=7)
+        c = np.arange(12.0).reshape(3, 4)
+        h = T.reshape(x, (3, 4))
+        parts = [T.mul(h, c), T.reshape(T.mul(h, 2.0), (12,)), T.neg(h), h]
+        # times 1.0: the split views are of a writable array this time
+        cat = T.concat([T.reshape(p, (12,)) for p in parts], axis=0)
+        loss = T.tsum(T.mul(cat, 1.0))
+        self.check(loss, [x], [(c + 2.0 - 1.0 + 1.0).reshape(2, 6)])
+
+    def test_concat_split_views(self):
+        a, b = randt((2, 3), seed=8), randt((2, 2), seed=9)
+        cat = T.concat([a, b], axis=1)
+        both = T.add(T.mul(cat, 3.0), T.concat([a, b], axis=1))
+        loss = T.add(T.tsum(T.mul(both, 1.0)), T.tsum(a))
+        self.check(loss, [a, b], [np.full((2, 3), 5.0), np.full((2, 2), 4.0)])
 
 
 class TestSerialization:
@@ -342,6 +467,17 @@ class TestSerialization:
         for raw in (buf.getvalue()[:-8], huge):
             with pytest.raises(FormatError, match="truncated"):
                 serialize.read_tensor(io.BytesIO(raw))
+
+    def test_zero_dim_beside_huge_dim(self):
+        # 0 elements pass the size check, but numpy cannot shape (0, 2**62)
+        raw = b"HAGT" + struct.pack("<3Q", 2, 0, 2**62)
+        with pytest.raises(FormatError, match="dims"):
+            serialize.read_tensor(io.BytesIO(raw))
+
+    def test_string_not_utf8(self):
+        raw = struct.pack("<Q", 3) + b"w\xff\xfe"
+        with pytest.raises(FormatError, match="UTF-8"):
+            serialize.read_string(io.BytesIO(raw))
 
     def test_named_tensors_round_trip(self, tmp_path):
         items = [("w", np.arange(6.0).reshape(2, 3)), ("b", np.zeros(2))]
