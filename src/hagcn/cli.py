@@ -250,17 +250,25 @@ def cmd_eval(args) -> int:
 
 def cmd_fuse(args) -> int:
     reports = [_load_json(p) for p in args.reports]
+    mats = []
     for p, r in zip(args.reports, reports):
-        if "scores" not in r or "labels" not in r:
+        if not isinstance(r, dict) or "scores" not in r or "labels" not in r:
             raise ConfigError(f"{p}: not an eval report (scores/labels "
                               f"missing)")
+        if (not isinstance(r["labels"], list)
+                or any(type(v) is not int for v in r["labels"])):
+            raise ConfigError(f"{p}: labels must be a list of integers")
+        try:
+            mats.append(np.array(r["scores"], dtype=np.float64))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{p}: scores must be a matrix of "
+                              f"numbers") from None
     labels = reports[0]["labels"]
     for p, r in zip(args.reports[1:], reports[1:]):
         if r["labels"] != labels:
             raise ConfigError(f"{p}: label order differs from "
                               f"{args.reports[0]}")
-    fused = fuse_scores([np.array(r["scores"]) for r in reports],
-                        weights=args.weights)
+    fused = fuse_scores(mats, weights=args.weights)
     labels_arr = np.array(labels)
     out = {
         "inputs": list(args.reports),

@@ -138,7 +138,9 @@ def parse_openpose_json(text: str, source_id: str = "",
         raise FormatError("keypoint JSON must be an object with a 'data' list")
     data = obj.get("data", [])
     if "label_index" in obj:
-        label = int(obj["label_index"])
+        label = obj["label_index"]
+        if type(label) is not int:  # not a bool, float or list
+            raise FormatError(f"label_index must be an integer, got {label!r}")
 
     num_frames = len(data)
     frames = []
@@ -146,17 +148,28 @@ def parse_openpose_json(text: str, source_id: str = "",
     for t, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise FormatError(f"frame {t} is not an object")
+        skeleton = entry.get("skeleton", [])
+        if not isinstance(skeleton, list):
+            raise FormatError(f"frame {t}: skeleton must be a list")
         people = []
-        for person in entry.get("skeleton", []):
+        for person in skeleton:
+            if not isinstance(person, dict):
+                raise FormatError(f"frame {t}: a person is not an object")
             pose = person.get("pose", [])
             score = person.get("score", [])
-            if len(pose) != 36 or len(score) != 18:
+            if not (isinstance(pose, list) and isinstance(score, list)
+                    and len(pose) == 36 and len(score) == 18
+                    and all(type(r) in (int, float) for r in pose + score)):
                 raise FormatError(f"frame {t}: pose must hold 36 reals and "
                                   f"score 18")
             joints = np.zeros((18, 3), dtype=np.float64)
-            joints[:, 0] = pose[0::2]
-            joints[:, 1] = pose[1::2]
-            joints[:, 2] = score
+            try:
+                joints[:, 0] = pose[0::2]
+                joints[:, 1] = pose[1::2]
+                joints[:, 2] = score
+            except OverflowError:  # an integer beyond float64
+                raise FormatError(f"frame {t}: keypoint value out of "
+                                  f"range") from None
             people.append(joints)
         people.sort(key=lambda j: -float(j[:, 2].mean()))
         people = people[:2]

@@ -63,13 +63,14 @@ class Layer:
 class BatchNorm(Layer):
     """Batch normalization layer owning affine params and running stats."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
+    momentum = 0.1  # running-stat update weight
+    eps = 1e-5
+
+    def __init__(self, channels: int):
         self.gamma = ones_param(channels)
         self.beta = zeros_param(channels)
         self.running_mean = np.zeros(channels, dtype=np.float64)
         self.running_var = np.ones(channels, dtype=np.float64)
-        self.momentum = momentum
-        self.eps = eps
 
     def apply_stats(self, mean: np.ndarray, var: np.ndarray):
         m = self.momentum

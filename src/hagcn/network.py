@@ -10,7 +10,8 @@ probabilities.
 
 Checkpoints (magic ``HAGC``) embed the config as a JSON block followed by
 named parameter, buffer and optimizer-state tensors, enough to rebuild the
-model bit-exactly and resume optimization.
+model bit-exactly. The SGD velocity is stored, but training cannot resume
+from a checkpoint yet: the training config, history and RNG state are not.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .attention import BRANCH_MODES, HybridSpatialAttention
 from .errors import (ConfigError, FormatError, config_bool, config_int,
-                     config_ints, config_real)
+                     config_ints, config_keys, config_real)
 from .graph import GraphSpec, build_graph
 from .layers import BatchNorm, Layer, uniform_init, zeros_param
 from .serialize import (read_json_block, read_named_tensors, write_json_block,
@@ -49,22 +50,16 @@ class ModelConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        self.num_classes = config_int("num_classes", self.num_classes)
-        self.in_channels = config_int("in_channels", self.in_channels)
-        self.channels = config_ints("channels", self.channels)
-        self.strides = config_ints("strides", self.strides)
+        self.num_classes = config_int("num_classes", self.num_classes, low=2)
+        self.in_channels = config_int("in_channels", self.in_channels, low=1)
+        self.channels = config_ints("channels", self.channels, low=1)
+        self.strides = config_ints("strides", self.strides, low=1)
         config_bool("extension_conv", self.extension_conv)
         config_real("dropout", self.dropout)
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be at least 2")
         if not self.channels:
             raise ConfigError("at least one block required")
         if len(self.channels) != len(self.strides):
             raise ConfigError("channels and strides must have equal length")
-        if self.in_channels < 1 or any(c < 1 for c in self.channels) \
-                or any(s < 1 for s in self.strides):
-            raise ConfigError("in_channels, channels and strides must be "
-                              "positive")
         if self.attention not in BRANCH_MODES:
             raise ConfigError(f"attention must be one of {BRANCH_MODES}")
         if self.temporal_mode not in TEMPORAL_MODES:
@@ -93,13 +88,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        missing = {"num_classes", "graph"} - set(d)
-        if missing:
-            raise ConfigError(f"model config missing keys: {sorted(missing)}")
+        config_keys("model", cls, d, required=("num_classes", "graph"))
         kw = dict(d)
         kw["graph"] = GraphSpec.from_dict(d["graph"])
         return cls(**kw)
@@ -218,7 +207,8 @@ def load_checkpoint(path):
     """Rebuild (model, epoch, optimizer_state) from a checkpoint file.
 
     Stored tensors must match the configured model's parameter and buffer
-    names and shapes; they are copied into the model's own arrays.
+    names and shapes, and every stored value must be finite; they are copied
+    into the model's own arrays.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -242,6 +232,10 @@ def load_checkpoint(path):
         buffers = read_named_tensors(f)
         opt_state = read_named_tensors(f)
 
+    for name, arr in [*params.items(), *buffers.items(), *opt_state.items()]:
+        if not np.isfinite(arr).all():
+            raise FormatError(f"checkpoint tensor {name} holds non-finite "
+                              f"values")
     for kind, stored, targets in (
             ("parameter", params,
              {n: p.data for n, p in model.named_params()}),

@@ -19,6 +19,8 @@ in place when that keeps every operation and its order unchanged.
 
 from __future__ import annotations
 
+import contextvars
+
 import numpy as np
 
 from .errors import NondeterminismError
@@ -30,90 +32,46 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = None  # ndarray, accumulated by Tensor.backward()
         self.parents: tuple = ()
         self._backward = None  # g -> tuple of parent grads aligned with parents
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     @property
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        """Backpropagate; leaf gradients add into ``.grad`` until zeroed."""
-        grads = backward(self)
-        for node in _topo(self):
-            g = grads.get(id(node))
-            if g is not None:
-                node.grad = g if node.grad is None else node.grad + g
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
     """Wrap arrays and scalars as constant tensors; pass tensors through."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-_grad_enabled = True
+_grad_enabled = contextvars.ContextVar("hagcn_grad_enabled", default=True)
 
 
 class no_grad:
     """Context that skips graph construction; use for pure inference.
 
     Keeps eval-time memory flat: without it every activation stays alive
-    through the output's parent chain because parameters require grad.
+    through the output's parent chain because parameters require grad. The
+    mode belongs to the current context: other threads keep theirs, and a
+    thread started inside the block builds graphs unless it runs in a copy
+    of this context (``contextvars.copy_context``).
     """
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
 def _needs_grad(parents) -> bool:
-    return _grad_enabled and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.requires_grad for p in parents)
 
 
 def _make(data, parents, backward_fn) -> Tensor:
@@ -297,6 +255,34 @@ def _moments(xd: np.ndarray, axes: tuple, count: int):
     return mean, xc, sq, var
 
 
+def _affine_args(op: str, x, gamma, beta):
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.ndim != 4:
+        raise ValueError(f"{op} expects 4-D input")
+    c = x.data.shape[1]
+    if gamma.data.shape != (c,) or beta.data.shape != (c,):
+        raise ValueError(f"{op} affine params must be (C,)")
+    return x, gamma, beta, gamma.data.reshape(1, c, 1, 1)
+
+
+def _scale_shift(xhat, var, eps, gamma_r, beta, out):
+    """Normalize the centred ``xhat`` in place, then write
+    ``xhat * gamma + beta`` into ``out``; returns (output, 1/sqrt(var+eps))."""
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat *= ivar
+    data = np.multiply(xhat, gamma_r, out=out)
+    data += beta.data.reshape(gamma_r.shape)
+    return data, ivar
+
+
+def _affine_back(g, xhat, gamma_r):
+    """Scratch ``g * xhat``, dgamma, dbeta and a fresh dxhat to reuse."""
+    t = g * xhat
+    dgamma = t.sum(axis=(0, 2, 3))
+    dbeta = g.sum(axis=(0, 2, 3))
+    return t, dgamma, dbeta, g * gamma_r
+
+
 def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
                stats_out=None) -> Tensor:
     """Per-channel normalization over axes (N, T, V) of a 4-D input.
@@ -309,12 +295,8 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
     time). The op never mutates them; the owning layer maintains running
     state.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.ndim != 4:
-        raise ValueError("batch_norm expects 4-D input")
+    x, gamma, beta, gamma_r = _affine_args("batch_norm", x, gamma, beta)
     n, c, t, v = x.data.shape
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ValueError("batch_norm affine params must be (C,)")
     batch_stats = mean is None
     if batch_stats != (var is None):
         raise ValueError("batch_norm takes both mean and var, or neither")
@@ -322,28 +304,20 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
     count = n * t * v
     if count == 0:
         raise ValueError("batch_norm over an empty batch")
-    shape = (1, c, 1, 1)
-    gamma_r = gamma.data.reshape(shape)
 
     if batch_stats:
         mean, xhat, out, var = _moments(x.data, axes, count)
         if stats_out is not None:
             stats_out.append((mean.reshape(c), var.reshape(c)))
     else:
-        xhat = x.data - np.asarray(mean, dtype=np.float64).reshape(shape)
-        var = np.asarray(var, dtype=np.float64).reshape(shape)
+        xhat = x.data - np.asarray(mean, dtype=np.float64).reshape(gamma_r.shape)
+        var = np.asarray(var, dtype=np.float64).reshape(gamma_r.shape)
         # without a graph nothing reads xhat again: the output may overwrite it
         out = np.empty_like(xhat) if _needs_grad((x, gamma, beta)) else xhat
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat *= ivar
-    data = np.multiply(xhat, gamma_r, out=out)
-    data += beta.data.reshape(shape)
+    data, ivar = _scale_shift(xhat, var, eps, gamma_r, beta, out)
 
     def back(g):
-        t = g * xhat
-        dgamma = t.sum(axis=axes)
-        dbeta = g.sum(axis=axes)
-        dx = g * gamma_r  # dxhat, turned into dx in place
+        t, dgamma, dbeta, dx = _affine_back(g, xhat, gamma_r)
         if batch_stats:
             # (ivar / count) * (count * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
             s1 = dx.sum(axis=axes, keepdims=True)
@@ -362,26 +336,15 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Per-sample normalization over (C, T, V) with per-channel affine."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.ndim != 4:
-        raise ValueError("layer_norm expects 4-D input")
+    x, gamma, beta, gamma_r = _affine_args("layer_norm", x, gamma, beta)
     n, c, t, v = x.data.shape
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ValueError("layer_norm affine params must be (C,)")
     axes = (1, 2, 3)
     count = c * t * v
-    gamma_r = gamma.data.reshape(1, c, 1, 1)
     _, xhat, out, var = _moments(x.data, axes, count)
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat *= ivar
-    data = np.multiply(xhat, gamma_r, out=out)
-    data += beta.data.reshape(1, c, 1, 1)
+    data, ivar = _scale_shift(xhat, var, eps, gamma_r, beta, out)
 
     def back(g):
-        t = g * xhat
-        dgamma = t.sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        dx = g * gamma_r  # dxhat, turned into dx in place
+        t, dgamma, dbeta, dx = _affine_back(g, xhat, gamma_r)
         # ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         m1 = dx.sum(axis=axes, keepdims=True) / count
         m2 = np.multiply(dx, xhat, out=t).sum(axis=axes, keepdims=True) / count
@@ -471,17 +434,22 @@ def _norm_axes(axes, ndim):
     return tuple(sorted(a % ndim for a in axes))
 
 
+def _expand(g, axes, keepdims: bool, shape) -> np.ndarray:
+    """Broadcast a reduction's upstream gradient back to the input shape."""
+    if axes is None:
+        g = np.asarray(g).reshape((1,) * len(shape))
+    elif not keepdims:
+        g = np.expand_dims(g, axes)
+    return np.broadcast_to(g, shape)
+
+
 def tsum(x, axes=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _norm_axes(axes, x.ndim)
     data = x.data.sum(axis=axes, keepdims=keepdims)
 
     def back(g):
-        if axes is None:
-            g = np.asarray(g).reshape((1,) * x.ndim)
-        elif not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.data.shape),)
+        return (_expand(g, axes, keepdims, x.data.shape),)
 
     return _make(data, (x,), back)
 
@@ -496,11 +464,7 @@ def tmean(x, axes=None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([x.data.shape[a] for a in axes]))
 
     def back(g):
-        if axes is None:
-            g = np.asarray(g).reshape((1,) * x.ndim)
-        elif not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g, x.data.shape) / count,)
+        return (_expand(g, axes, keepdims, x.data.shape) / count,)
 
     return _make(data, (x,), back)
 
@@ -572,10 +536,9 @@ def _topo(root: Tensor):
 def backward(loss: Tensor) -> dict:
     """Backpropagate from a scalar loss; returns {id(leaf): gradient}.
 
-    ``.grad`` is never written, so shards can share parameters race-free
-    (``Tensor.backward`` accumulates the map into ``.grad``). Interior nodes
-    only relay flow, which keeps peak memory at the live frontier instead of
-    the whole graph.
+    Nothing is stored on the tensors, so shards can share parameters
+    race-free. Interior nodes only relay flow, which keeps peak memory at
+    the live frontier instead of the whole graph.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")

@@ -9,6 +9,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import (ConfigError, TrainingDiverged, config_int, config_ints,
-                     config_real)
+                     config_keys, config_real)
 from .evaluation import score_dataset, topk_accuracy
 from .ingest import STREAMS, SkeletonSequence, assemble_batch
 from .network import Model
@@ -72,12 +73,11 @@ class SGD:
     SKIP_DECAY = ("gamma", "beta", "alpha")
 
     def __init__(self, model, lr: float = 0.1, momentum: float = 0.9,
-                 weight_decay: float = 1e-4, nesterov: bool = True):
+                 weight_decay: float = 1e-4):
         self.params = list(model.named_params())
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self.velocity = {name: np.zeros_like(p.data)
                          for name, p in self.params}
 
@@ -94,8 +94,7 @@ class SGD:
                 g = g + self.weight_decay * p.data
             v = self.velocity[name]
             v[...] = self.momentum * v + g
-            update = g + self.momentum * v if self.nesterov else v
-            p.data[...] = p.data - self.lr * update
+            p.data[...] = p.data - self.lr * (g + self.momentum * v)
 
     def state_tensors(self):
         return [("velocity." + name, self.velocity[name])
@@ -133,9 +132,9 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
     """Backprop the mean cross entropy over shards.
 
     Each shard runs a full training forward/backward with its own gradient
-    map and deferred batch-norm statistics, so shards never race. Results
-    are folded in shard index order regardless of which thread finished
-    first. Returns (mean loss, stacked logits in input order,
+    map and deferred batch-norm statistics, so shards never race. Every
+    shard runs in the caller's grad mode, at any thread count. Results are
+    folded in shard index order regardless of which thread finished first. Returns (mean loss, stacked logits in input order,
     ``{param name: gradient}``); the model's parameters are left untouched.
     """
     if not shards:
@@ -160,8 +159,11 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
         for i in range(len(shards)):
             run(i)
     else:
+        # pool threads start in a fresh context; one copy of the caller's per
+        # shard, because a context cannot be entered by two threads at once
+        contexts = [contextvars.copy_context() for _ in shards]
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(run, range(len(shards))))
+            list(ex.map(lambda i: contexts[i].run(run, i), range(len(shards))))
 
     params = list(model.named_params())
     grads = {}
@@ -317,18 +319,13 @@ class TrainConfig:
     max_persons: int = 2
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "micro_batch", "seed",
-                     "max_frames", "max_persons"):
-            setattr(self, name, config_int(name, getattr(self, name)))
+        for name, low in (("epochs", 1), ("batch_size", 1), ("micro_batch", 0),
+                          ("seed", None), ("max_frames", 1),
+                          ("max_persons", 1)):
+            setattr(self, name, config_int(name, getattr(self, name), low))
         self.milestones = config_ints("milestones", self.milestones)
         for name in ("lr", "momentum", "weight_decay", "lr_factor"):
             config_real(name, getattr(self, name))
-        if self.epochs < 1:
-            raise ConfigError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1")
-        if self.micro_batch < 0:
-            raise ConfigError("micro_batch must be non-negative")
         if self.lr <= 0.0:
             raise ConfigError("lr must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -339,8 +336,6 @@ class TrainConfig:
             raise ConfigError(f"stream must be one of {STREAMS}")
         if self.augment not in ("none", "rotate_shift"):
             raise ConfigError("augment must be 'none' or 'rotate_shift'")
-        if self.max_frames < 1 or self.max_persons < 1:
-            raise ConfigError("max_frames and max_persons must be positive")
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -349,11 +344,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown training config keys: "
-                              f"{sorted(unknown)}")
+        config_keys("training", cls, d)
         return cls(**d)
 
 

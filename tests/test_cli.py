@@ -87,6 +87,16 @@ def test_prepare_missing_manifest_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_prepare_rejects_mistyped_keypoint_json(tmp_path, capsys):
+    pose = tmp_path / "bad.json"
+    pose.write_text(json.dumps({"label_index": [1], "data": []}))
+    manifest = tmp_path / "files.txt"
+    manifest.write_text(f"{pose} 0\n")
+    assert run(["prepare", "--manifest", str(manifest), "--out",
+                str(tmp_path / "c.hagd")]) == 1
+    assert "label_index" in capsys.readouterr().err
+
+
 # -- train ------------------------------------------------------------------
 
 def test_train_writes_artifacts(tmp_path, capsys):
@@ -314,10 +324,19 @@ def test_fuse_rejects_label_mismatch(trained, tmp_path, capsys):
 
 def test_fuse_rejects_non_report_json(tmp_path, capsys):
     p = tmp_path / "nope.json"
-    p.write_text(json.dumps({"hello": 1}))
-    assert run(["fuse", "--reports", str(p), "--out",
-                str(tmp_path / "f.json")]) == 1
-    assert "not an eval report" in capsys.readouterr().err
+    for doc, match in (({"hello": 1}, "not an eval report"),
+                       (5, "not an eval report"),
+                       (None, "not an eval report"),
+                       ({"scores": [[0.5, 0.5]], "labels": ["a"]}, "labels"),
+                       ({"scores": [[0.5, 0.5]], "labels": [True]}, "labels"),
+                       ({"scores": [["x", 0.5]], "labels": [0]}, "scores"),
+                       ({"scores": [[0.5], [0.5, 0.5]], "labels": [0, 1]},
+                        "scores")):
+        p.write_text(json.dumps(doc))
+        assert run(["fuse", "--reports", str(p), "--out",
+                    str(tmp_path / "f.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}") and match in err, doc
 
 
 def test_ablate_reports_all_modes(trained, capsys):

@@ -1,3 +1,4 @@
+import json
 import struct
 from pathlib import Path
 
@@ -107,6 +108,26 @@ class TestOpenposeParser:
         with pytest.raises(FormatError, match="non-finite"):
             parse_openpose_json('{"data": [{"skeleton": [{"pose": '
                                 f'[{pose}], "score": [{score}]}}]}}]}}')
+
+
+    @pytest.mark.parametrize("doc", [
+        {"label_index": [1], "data": []},
+        {"label_index": 2.7, "data": []},
+        {"label_index": True, "data": []},
+        {"data": [{"skeleton": [[1, 2]]}]},
+        {"data": [{"skeleton": 5}]},
+        {"data": [{"skeleton": [{"pose": 5, "score": [0.5] * 18}]}]},
+        {"data": [{"skeleton": [{"pose": [0.0] * 36, "score": 5}]}]},
+        {"data": [{"skeleton": [{"pose": [True] * 36, "score": [0.5] * 18}]}]},
+        {"data": [{"skeleton": [{"pose": [10 ** 400] * 36,
+                                 "score": [0.5] * 18}]}]},
+    ], ids=["label_list", "label_float", "label_bool", "person_list",
+            "skeleton_int", "pose_int", "score_int", "pose_bools",
+            "pose_huge_int"])
+    def test_wrong_json_types(self, doc):
+        doc = json.dumps(doc)
+        with pytest.raises(FormatError):
+            parse_openpose_json(doc)
 
 
 class TestStreams:

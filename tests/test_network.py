@@ -336,6 +336,31 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
             N.load_checkpoint(path)
 
 
+def test_checkpoint_rejects_non_finite_values(tmp_path):
+    model = N.Model(tiny_config(), seed=0)
+    params = [(n, p.data) for n, p in model.named_params()]
+    buffers = list(model.named_buffers())
+    velocity = [("velocity." + n, np.zeros_like(a)) for n, a in params]
+    path = tmp_path / "m.hagc"
+    for name, bad in (("fc_w", np.nan), ("data_bn.running_var", np.inf),
+                      ("velocity.fc_b", -np.inf)):
+        with open(path, "wb") as f:
+            f.write(N.CHECKPOINT_MAGIC)
+            write_json_block(f, {"format_version": N.CHECKPOINT_VERSION,
+                                 "config": model.config.to_dict(),
+                                 "epoch": 0})
+            for section in (params, buffers, velocity):
+                tensors = []
+                for n, a in section:
+                    if n == name:
+                        a = a.copy()
+                        a.flat[0] = bad  # one bad value is enough
+                    tensors.append((n, a))
+                write_named_tensors(f, tensors)
+        with pytest.raises(FormatError, match=f"tensor {name} holds non-finite"):
+            N.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_unknown_version(tmp_path):
     model = N.Model(tiny_config(), seed=0)
     path = tmp_path / "m.hagc"

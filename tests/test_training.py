@@ -81,8 +81,7 @@ class OneParam:
 
 def test_sgd_plain_step_with_decay():
     layer = OneParam("w", [2.0])
-    opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1,
-                 nesterov=False)
+    opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1)
     p = layer._items[0][1]
     opt.step({"w": np.array([1.0])})
     # g = 1 + 0.1*2 = 1.2; p = 2 - 0.5*1.2
@@ -92,8 +91,7 @@ def test_sgd_plain_step_with_decay():
 def test_sgd_skips_decay_for_norm_and_alpha():
     for leaf in ("gamma", "beta", "alpha"):
         layer = OneParam(f"blocks.0.bn.{leaf}", [2.0])
-        opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1,
-                     nesterov=False)
+        opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1)
         p = layer._items[0][1]
         opt.step({f"blocks.0.bn.{leaf}": np.array([1.0])})
         np.testing.assert_allclose(p.data, [1.5], atol=1e-15)
@@ -101,8 +99,7 @@ def test_sgd_skips_decay_for_norm_and_alpha():
 
 def test_sgd_decays_biases():
     layer = OneParam("blocks.0.spatial.subsets.0.val_b", [2.0])
-    opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1,
-                 nesterov=False)
+    opt = tr.SGD(layer, lr=0.5, momentum=0.0, weight_decay=0.1)
     p = layer._items[0][1]
     opt.step({"blocks.0.spatial.subsets.0.val_b": np.array([1.0])})
     np.testing.assert_allclose(p.data, [1.4], atol=1e-15)
@@ -179,7 +176,7 @@ def test_single_shard_matches_direct_backward():
     logits = b.forward(x, training=True, rng=np.random.default_rng(99),
                        stats_sink=sink)
     loss_b = tr.cross_entropy(logits, y)
-    loss_b.backward()
+    grads_b = T.backward(loss_b)
     for layer, mean, var in sink:
         layer.apply_stats(mean, var)
 
@@ -187,9 +184,7 @@ def test_single_shard_matches_direct_backward():
     gb = dict(b.named_params())
     assert set(grads) == set(gb)
     for name, g in grads.items():
-        assert g.tobytes() == gb[name].grad.tobytes(), name
-    for name, p in a.named_params():
-        assert p.grad is None, name  # accumulate_gradients leaves .grad alone
+        assert g.tobytes() == grads_b[id(gb[name])].tobytes(), name
     for (_, ba), (_, bb) in zip(a.named_buffers(), b.named_buffers()):
         assert ba.tobytes() == bb.tobytes()
 
@@ -215,6 +210,23 @@ def test_thread_count_does_not_change_results(dropout):
         assert p1[name].tobytes() == p2[name].tobytes(), name
     for name in b1:
         assert b1[name].tobytes() == b2[name].tobytes(), name
+
+
+def test_shards_run_in_the_callers_grad_mode():
+    x, y = _batch()
+    outs = []
+    for threads in (1, 2):
+        with T.no_grad():
+            outs.append(tr.accumulate_gradients(
+                _fresh_model(), tr.shard_batch(x, y, 2),
+                np.random.default_rng(7), threads=threads))
+    (l1, lg1, g1), (l2, lg2, g2) = outs
+    assert l1 == l2
+    assert lg1.tobytes() == lg2.tobytes()
+    assert set(g1) == set(g2)
+    for name in g1:
+        assert g1[name].tobytes() == g2[name].tobytes(), name
+    assert not g1  # no graph under no_grad, so no gradients
 
 
 def test_sharded_loss_matches_batch_mean():

@@ -7,8 +7,14 @@ parameter, buffer and SGD velocity array by name. Two checkouts whose
 arithmetic is bit-identical print the same digest:
 
     python3 tools/train_digest.py --epochs 3
-    python3 tools/train_digest.py --epochs 3 --threads 2 --micro-batch 4
     python3 tools/train_digest.py --epochs 3 --src ../other-checkout/src
+
+With ``--against REV`` the tool exports ``src/`` of git revision REV to a
+temporary directory, runs the digest for REV and for ``--src`` in fresh
+processes with the same arguments, prints both and exits 1 if they differ:
+
+    python3 tools/train_digest.py --epochs 3 --against HEAD~1
+    python3 tools/train_digest.py --epochs 3 --threads 2 --micro-batch 4 --against HEAD~1
 
 BLAS is pinned to one thread so that only the shard threads vary.
 """
@@ -17,8 +23,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,7 +42,34 @@ def parse_args(argv=None):
                    help="shard size (0 = whole batch)")
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="directory holding the hagcn package to test")
+    p.add_argument("--against", metavar="REV",
+                   help="also digest src/ of this git revision and exit 1 "
+                        "if the two digests differ")
     return p.parse_args(argv)
+
+
+def compare(args) -> int:
+    """Digest ``args.src`` and ``args.against``'s src/ in fresh processes."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", args.against,
+                              "src"], check=True, stdout=subprocess.PIPE).stdout
+    base = [sys.executable, os.path.abspath(__file__), "--epochs",
+            str(args.epochs), "--threads", str(args.threads),
+            "--micro-batch", str(args.micro_batch), "--src"]
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        digests = []
+        for label, src in ((args.against, os.path.join(tmp, "src")),
+                           (args.src, args.src)):
+            out = subprocess.run(base + [os.path.abspath(src)], check=True,
+                                 stdout=subprocess.PIPE, text=True).stdout
+            digests.append(out.split()[-1])
+            print(f"{label}: {out.strip()}", flush=True)
+    if digests[0] != digests[1]:
+        print("digests differ")
+        return 1
+    print("digests match")
+    return 0
 
 
 def digest(model, opt) -> str:
@@ -48,6 +85,8 @@ def digest(model, opt) -> str:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    if args.against:
+        return compare(args)
     for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[key] = "1"
     sys.path.insert(0, os.path.abspath(args.src))
