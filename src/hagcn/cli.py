@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (RuntimeError, OSError) as e:
+    except (RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -296,7 +296,14 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
 
 
 def save_cache(path, seqs) -> None:
-    """Write sequences (trimmed to their valid frames) as a HAGD cache."""
+    """Write sequences (trimmed to their valid frames) as a HAGD cache.
+
+    Labels are checked before the file is opened, so a bad one leaves none.
+    """
+    for seq in seqs:
+        if not -2**63 <= seq.label < 2**63:
+            raise FormatError(f"label {seq.label} of {seq.source_id} does not "
+                              f"fit a signed 64-bit integer")
     with open(path, "wb") as f:
         f.write(CACHE_MAGIC)
         f.write(struct.pack("<Q", len(seqs)))

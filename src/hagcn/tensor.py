@@ -1,13 +1,20 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
-A Tensor wraps an ndarray and, when gradients are required, a closure that
-maps the output gradient to gradients for its parents. The op set is exactly
-what the network needs: broadcast arithmetic, batched matmul, a temporal
-(k_t x 1) convolution with stride/dilation/padding, batch and layer
-normalization, pointwise nonlinearities, reductions, shape moves,
-concatenation and inverted dropout. ``backward`` walks the graph in reverse
-topological order and returns the leaf gradients by ``id``; ``grad_check``
-compares analytic gradients against central differences.
+A Tensor wraps an ndarray and, when gradients are required, a graph Node:
+the parent nodes plus a closure that maps the output gradient to gradients
+for its parents. The op set is exactly what the network needs: broadcast
+arithmetic, batched matmul, a temporal (k_t x 1) convolution with
+stride/dilation/padding, batch and layer normalization, pointwise
+nonlinearities, reductions, shape moves, concatenation and inverted dropout.
+``backward`` walks the nodes in reverse topological order and returns the
+leaf gradients by the leaf Tensor's ``id``; ``grad_check`` compares analytic
+gradients against central differences.
+
+Graph memory follows one rule: a node never holds a Tensor or its data,
+and a closure captures only the arrays and shapes that the formulas for the
+gradients actually needed read. An activation is therefore freed as soon as
+its Tensor and the last closure that reads it are gone, not when the graph
+is.
 
 Flows (the gradients travelling back along graph edges) follow one in-place
 rule: ``backward`` adds a node's second and later incoming flows in place
@@ -20,6 +27,7 @@ in place when that keeps every operation and its order unchanged.
 from __future__ import annotations
 
 import contextvars
+import weakref
 
 import numpy as np
 
@@ -27,13 +35,27 @@ from .errors import NondeterminismError
 
 
 class Tensor:
-    """An ndarray plus the bookkeeping needed for reverse-mode autodiff."""
+    """An ndarray plus, when gradients are required, its graph node."""
+
+    __slots__ = ("data", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.parents: tuple = ()
-        self._backward = None  # g -> tuple of parent grads aligned with parents
+        # a leaf's node exists from the start: shard threads share parameters
+        self.node = Node((), None, weakref.ref(self)) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def _backward(self):
+        """The node's closure, g -> parent grads; writable so it can be wrapped."""
+        return None if self.node is None else self.node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self.node.backward = fn
 
     @property
     def ndim(self):
@@ -41,6 +63,23 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+class Node:
+    """A graph vertex; it never holds a Tensor or its data.
+
+    ``parents`` holds one entry per op input: that input's node, or None for a
+    constant. ``backward`` maps the output gradient to a tuple aligned with
+    ``parents`` (None where no gradient is needed). A leaf has no parents and
+    no closure, and ``leaf`` is a weak reference to its Tensor.
+    """
+
+    __slots__ = ("parents", "backward", "leaf")
+
+    def __init__(self, parents, backward, leaf=None):
+        self.parents = parents
+        self.backward = backward
+        self.leaf = leaf
 
 
 def as_tensor(x) -> Tensor:
@@ -54,11 +93,11 @@ _grad_enabled = contextvars.ContextVar("hagcn_grad_enabled", default=True)
 class no_grad:
     """Context that skips graph construction; use for pure inference.
 
-    Keeps eval-time memory flat: without it every activation stays alive
-    through the output's parent chain because parameters require grad. The
-    mode belongs to the current context: other threads keep theirs, and a
-    thread started inside the block builds graphs unless it runs in a copy
-    of this context (``contextvars.copy_context``).
+    Keeps eval-time memory flat: without it every closure that saves an
+    activation stays alive through the output's node because parameters
+    require grad. The mode belongs to the current context: other threads
+    keep theirs, and a thread started inside the block builds graphs unless
+    it runs in a copy of this context (``contextvars.copy_context``).
     """
 
     def __enter__(self):
@@ -71,16 +110,14 @@ class no_grad:
 
 
 def _needs_grad(parents) -> bool:
-    return _grad_enabled.get() and any(p.requires_grad for p in parents)
+    return _grad_enabled.get() and any(p.node is not None for p in parents)
 
 
 def _make(data, parents, backward_fn) -> Tensor:
     """Build an op output, pruning graph edges when no parent needs grad."""
     out = Tensor(data)
     if _needs_grad(parents):
-        out.requires_grad = True
-        out.parents = tuple(parents)
-        out._backward = backward_fn
+        out.node = Node(tuple(p.node for p in parents), backward_fn)
     return out
 
 
@@ -102,9 +139,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(data, (a, b), back)
 
@@ -112,9 +150,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def back(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _make(data, (a, b), back)
 
@@ -122,10 +161,14 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
+    sa, sb = a.data.shape, b.data.shape
+    # each factor is saved only for the other's gradient
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def back(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
     return _make(data, (a, b), back)
 
@@ -144,15 +187,20 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(
-            f"matmul inner dimensions differ: {a.data.shape} @ {b.data.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if sa[-1] != sb[-2]:
+        raise ValueError(f"matmul inner dimensions differ: {sa} @ {sb}")
     data = np.matmul(a.data, b.data)
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        ga = gb = None
+        if bd is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
+        if ad is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
+        return ga, gb
 
     return _make(data, (a, b), back)
 
@@ -199,39 +247,46 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
     # (k_t, C_out, C_in), contiguous: a strided weight slice misses BLAS
     wk = w.data[:, :, :, 0].transpose(2, 0, 1).copy()
 
-    def tap(it):
+    def tap(src, it):
         t0 = it * dilation
-        return xp[:, :, t0:t0 + span:stride].reshape(n, c_in, t_out * v)
+        return src[:, :, t0:t0 + span:stride].reshape(n, c_in, t_out * v)
 
-    data = np.matmul(wk[0], tap(0))
+    data = np.matmul(wk[0], tap(xp, 0))
     for it in range(1, k_t):
-        data += np.matmul(wk[it], tap(it))
+        data += np.matmul(wk[it], tap(xp, it))
     data = data.reshape(n, c_out, t_out, v)
     if b is not None:
         data += b.data.reshape(1, c_out, 1, 1)
+    # the (padded) input is saved only for dW, the weights only for dx
+    xs = xp if w.requires_grad else None
+    ws = wk if x.requires_grad else None
+    w_shape = w.data.shape
 
     def back(g):
-        g3 = g.reshape(n, c_out, t_out * v)
-        # dW is one GEMM over all N*T_out*V per tap: per-sample products summed
-        # over N round differently, enough to change what desk training learns
-        gm = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
-        dw = np.empty_like(w.data)
-        for it in range(k_t):
-            dw[:, :, it, 0] = gm @ tap(it).transpose(0, 2, 1).reshape(-1, c_in)
-        if k_t == 1 and stride == 1 and not pad:
-            # the input gradient is the one product itself
-            dx = np.matmul(wk[0].T, g3).reshape(n, c_in, t, v)
-        else:
-            dxp = np.zeros_like(xp)
+        dx = dw = None
+        if xs is not None:
+            # dW is one GEMM over all N*T_out*V per tap: per-sample products
+            # summed over N round differently, enough to change what desk
+            # training learns
+            gm = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
+            dw = np.empty(w_shape)
             for it in range(k_t):
-                t0 = it * dilation
-                dxp[:, :, t0:t0 + span:stride] += np.matmul(
-                    wk[it].T, g3).reshape(n, c_in, t_out, v)
-            dx = dxp[:, :, pad:pad + t, :] if pad else dxp
-        grads = [dx, dw]
-        if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+                dw[:, :, it, 0] = gm @ tap(xs, it).transpose(0, 2, 1).reshape(-1, c_in)
+        if ws is not None:
+            g3 = g.reshape(n, c_out, t_out * v)
+            if k_t == 1 and stride == 1 and not pad:
+                # the input gradient is the one product itself
+                dx = np.matmul(ws[0].T, g3).reshape(n, c_in, t, v)
+            else:
+                dxp = np.zeros((n, c_in, t_pad, v))
+                for it in range(k_t):
+                    t0 = it * dilation
+                    dxp[:, :, t0:t0 + span:stride] += np.matmul(
+                        ws[it].T, g3).reshape(n, c_in, t_out, v)
+                dx = dxp[:, :, pad:pad + t, :] if pad else dxp
+        if b is None:
+            return dx, dw
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(data, parents, back)
@@ -447,9 +502,10 @@ def tsum(x, axes=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _norm_axes(axes, x.ndim)
     data = x.data.sum(axis=axes, keepdims=keepdims)
+    shape = x.data.shape
 
     def back(g):
-        return (_expand(g, axes, keepdims, x.data.shape),)
+        return (_expand(g, axes, keepdims, shape),)
 
     return _make(data, (x,), back)
 
@@ -458,13 +514,14 @@ def tmean(x, axes=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _norm_axes(axes, x.ndim)
     data = x.data.mean(axis=axes, keepdims=keepdims)
+    shape = x.data.shape
     if axes is None:
         count = x.data.size
     else:
-        count = int(np.prod([x.data.shape[a] for a in axes]))
+        count = int(np.prod([shape[a] for a in axes]))
 
     def back(g):
-        return (_expand(g, axes, keepdims, x.data.shape) / count,)
+        return (_expand(g, axes, keepdims, shape) / count,)
 
     return _make(data, (x,), back)
 
@@ -472,9 +529,10 @@ def tmean(x, axes=None, keepdims: bool = False) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     data = x.data.reshape(shape)
+    in_shape = x.data.shape
 
     def back(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(in_shape),)
 
     return _make(data, (x,), back)
 
@@ -508,25 +566,24 @@ def concat(tensors, axis: int = 0) -> Tensor:
 # backward engine
 
 
-def _topo(root: Tensor):
-    """Reverse-postorder DFS; raises on cycles (in-place graph abuse)."""
+def _topo(root: Node):
+    """Reverse-postorder DFS over nodes; raises on cycles (graph abuse)."""
     order = []
-    state = {}  # id -> 1 on stack, 2 done
+    state = {id(root): 1}  # id -> 1 on stack, 2 done
     stack = [(root, iter(root.parents))]
-    state[id(root)] = 1
     while stack:
         node, it = stack[-1]
-        pushed = False
         for p in it:
+            if p is None:
+                continue
             s = state.get(id(p))
             if s == 1:
                 raise ValueError("cycle detected in autodiff graph")
             if s is None:
                 state[id(p)] = 1
                 stack.append((p, iter(p.parents)))
-                pushed = True
                 break
-        if not pushed:
+        else:
             stack.pop()
             state[id(node)] = 2
             order.append(node)
@@ -537,17 +594,18 @@ def backward(loss: Tensor) -> dict:
     """Backpropagate from a scalar loss; returns {id(leaf): gradient}.
 
     Nothing is stored on the tensors, so shards can share parameters
-    race-free. Interior nodes only relay flow, which keeps peak memory at
-    the live frontier instead of the whole graph.
+    race-free. The graph holds only what backward formulas read, and
+    interior nodes only relay flow, which keeps peak memory at the live
+    frontier instead of the whole graph.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
-    if not loss.requires_grad:
+    if loss.node is None:
         return {}
-    order = _topo(loss)
-    flows = {id(loss): np.ones_like(loss.data)}
+    order = _topo(loss.node)
+    flows = {id(loss.node): np.ones_like(loss.data)}
     owned = set()  # ids whose flow is a sum this walk allocated
     grads = {}
     for node in reversed(order):
@@ -555,12 +613,13 @@ def backward(loss: Tensor) -> dict:
         owned.discard(id(node))
         if g is None:
             continue
-        if node.requires_grad and not node.parents:
-            grads[id(node)] = g
-        if node._backward is None:
+        if node.leaf is not None:
+            leaf = node.leaf()
+            if leaf is not None:  # a dead leaf's gradient has no reader
+                grads[id(leaf)] = g
             continue
-        for parent, pg in zip(node.parents, node._backward(g)):
-            if pg is None or not parent.requires_grad:
+        for parent, pg in zip(node.parents, node.backward(g)):
+            if pg is None or parent is None:
                 continue
             pid = id(parent)
             if pid not in flows:

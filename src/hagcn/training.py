@@ -134,8 +134,9 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
     Each shard runs a full training forward/backward with its own gradient
     map and deferred batch-norm statistics, so shards never race. Every
     shard runs in the caller's grad mode, at any thread count. Results are
-    folded in shard index order regardless of which thread finished first. Returns (mean loss, stacked logits in input order,
-    ``{param name: gradient}``); the model's parameters are left untouched.
+    folded in shard index order regardless of which thread finished first.
+    Returns (mean loss, stacked logits in input order, ``{param name:
+    gradient}``); the model's parameters are left untouched.
     """
     if not shards:
         raise ValueError("no shards to process")

@@ -12,7 +12,7 @@ import pytest
 
 from hagcn import cli
 from hagcn.evaluation import capture_masks, read_mask_csv, read_pgm
-from hagcn.ingest import assemble_batch, load_cache
+from hagcn.ingest import assemble_batch, load_cache, save_cache
 from hagcn.network import load_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -97,6 +97,25 @@ def test_prepare_rejects_mistyped_keypoint_json(tmp_path, capsys):
     assert "label_index" in capsys.readouterr().err
 
 
+def test_prepare_rejects_label_beyond_64_bits(tmp_path, capsys):
+    # the label comes from the manifest, or from a keypoint file's label_index
+    pose = tmp_path / "pose.json"
+    with open(os.path.join(FIXTURES, "sample_pose.json")) as f:
+        obj = json.load(f)
+    obj["label_index"] = 2**64
+    pose.write_text(json.dumps(obj))
+    skeleton = os.path.join(FIXTURES, "sample.skeleton")
+    for line in (f"{skeleton} 99999999999999999999", f"{pose} 0"):
+        manifest = tmp_path / "files.txt"
+        manifest.write_text(line + "\n")
+        out = tmp_path / "c.hagd"
+        assert run(["prepare", "--manifest", str(manifest), "--out",
+                    str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "64-bit" in err
+        assert not out.exists()
+
+
 # -- train ------------------------------------------------------------------
 
 def test_train_writes_artifacts(tmp_path, capsys):
@@ -137,6 +156,19 @@ def test_train_infers_num_classes_from_cache(tmp_path):
                 "--out", out]) == 0
     with open(os.path.join(out, "config.json")) as f:
         assert json.load(f)["model"]["num_classes"] == 5
+
+
+def test_train_reports_unallocatable_label_space(tmp_path, capsys):
+    # an inferred num_classes of 2**50 + 1 asks for a 64 PiB head
+    cache = make_cache(tmp_path, "train.hagd")
+    seqs = load_cache(cache)
+    seqs[0].label = 2**50
+    save_cache(cache, seqs)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"channels": [8], "strides": [1]}}))
+    assert run(["train", "--train-cache", cache, "--config", str(cfg_path),
+                "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_train_rejects_unknown_config_keys(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import io
 import struct
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestBackward:
     def test_cycle_detection(self):
         x = Tensor(np.array([1.0]), requires_grad=True)
         out = T.mul(x, x)
-        out.parents = (out,)  # deliberate graph abuse
+        out.node.parents = (out.node,)  # deliberate graph abuse
         with pytest.raises(ValueError, match="cycle"):
             backward(out)
 
@@ -176,7 +177,7 @@ class TestBackward:
         a = Tensor(np.ones(3))
         b = Tensor(np.ones(3))
         out = T.add(a, b)
-        assert out.parents == () and not out.requires_grad
+        assert out.node is None and not out.requires_grad
 
     def test_grad_map_collection(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
@@ -375,16 +376,16 @@ class TestFlowAccumulation:
     def record_returns(loss):
         """Wrap every closure so each array it returns is snapshotted."""
         seen = []
-        for node in T._topo(loss):
-            if node._backward is None:
+        for node in T._topo(loss.node):
+            if node.backward is None:
                 continue
 
-            def wrapped(g, fn=node._backward):
+            def wrapped(g, fn=node.backward):
                 out = fn(g)
                 seen.extend((a, np.array(a)) for a in out if a is not None)
                 return out
 
-            node._backward = wrapped
+            node.backward = wrapped
         return seen
 
     def check(self, loss, leaves, want):
@@ -420,6 +421,67 @@ class TestFlowAccumulation:
         both = T.add(T.mul(cat, 3.0), T.concat([a, b], axis=1))
         loss = T.add(T.tsum(T.mul(both, 1.0)), T.tsum(a))
         self.check(loss, [a, b], [np.full((2, 3), 5.0), np.full((2, 2), 4.0)])
+
+
+SHAPE = (2, 3, 4, 5)
+
+# ops whose backward never reads this input's values: (op, extra leaf shapes)
+UNREAD_INPUT = {
+    "add": (lambda h, p: T.add(h, p[0]), [SHAPE]),
+    "sub": (lambda h, p: T.sub(p[0], h), [SHAPE]),
+    "tsum": (lambda h, p: T.tsum(h, axes=(0, 2)), []),
+    "tmean": (lambda h, p: T.tmean(h, axes=1, keepdims=True), []),
+    "reshape": (lambda h, p: T.reshape(h, (6, 20)), []),
+    "concat": (lambda h, p: T.concat([h, p[0]], axis=1), [SHAPE]),
+    "relu": (lambda h, p: T.relu(h), []),
+    "batch_norm": (lambda h, p: T.batch_norm(h, p[0], p[1]), [(3,), (3,)]),
+    "layer_norm": (lambda h, p: T.layer_norm(h, p[0], p[1]), [(3,), (3,)]),
+}
+
+
+class TestGraphMemory:
+    """The graph keeps only what backward formulas read."""
+
+    @staticmethod
+    def run(op, keep):
+        fn, shapes = UNREAD_INPUT[op]
+        leaves = [randt(SHAPE, seed=10)]
+        leaves += [randt(s, seed=11 + i, shift=1.0) for i, s in enumerate(shapes)]
+        h = T.mul(leaves[0], 1.5)  # a fresh interior array
+        out = fn(h, leaves[1:])
+        c = np.random.default_rng(20).standard_normal(out.data.shape)
+        loss = T.tsum(T.mul(out, c))  # c is a constant: out is not saved
+        ref = weakref.ref(h.data)
+        kept = h if keep else None
+        del h, out
+        alive = ref() is not None
+        grads = backward(loss)
+        del kept
+        return alive, [grads[id(p)] for p in leaves]
+
+    @pytest.mark.parametrize("op", sorted(UNREAD_INPUT))
+    def test_unread_input_dies_with_its_last_reference(self, op):
+        alive, grads = self.run(op, keep=False)
+        assert not alive
+        kept_alive, want = self.run(op, keep=True)
+        assert kept_alive
+        assert all(same_bits(g, w) for g, w in zip(grads, want))
+
+    def test_leaf_node_exists_from_construction(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        node = x.node
+        assert node is not None and node.parents == () and node.leaf() is x
+        T.mul(x, x)
+        assert x.node is node and Tensor(np.ones(3)).node is None
+
+    def test_dead_leaf_gradient_is_dropped(self):
+        # the first leaf dies before the second is built, so the two may share
+        # an id; only the live one may report a gradient under it
+        h = T.mul(Tensor(np.full(3, 2.0), requires_grad=True), 2.0)
+        x = Tensor(np.ones(3), requires_grad=True)
+        grads = backward(T.tsum(T.mul(h, x)))
+        assert list(grads) == [id(x)]
+        assert np.array_equal(grads[id(x)], np.full(3, 4.0))
 
 
 class TestSerialization:
@@ -489,7 +551,7 @@ class TestNoGrad:
         x = Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
             y = T.mul(x, x)
-        assert y.parents == () and not y.requires_grad
+        assert y.node is None and not y.requires_grad
         z = T.mul(x, x)
         assert z.requires_grad  # flag restored on exit
 
@@ -526,4 +588,4 @@ class TestNoGrad:
             release.set()
             th.join(10)
         assert not th.is_alive()
-        assert y.requires_grad and y.parents == (x, x)
+        assert y.requires_grad and y.node.parents == (x.node, x.node)

@@ -11,12 +11,16 @@ arithmetic is bit-identical print the same digest:
 
 With ``--against REV`` the tool exports ``src/`` of git revision REV to a
 temporary directory, runs the digest for REV and for ``--src`` in fresh
-processes with the same arguments, prints both and exits 1 if they differ:
+processes with the same arguments, prints both and exits 1 if they differ
+(and only then):
 
     python3 tools/train_digest.py --epochs 3 --against HEAD~1
     python3 tools/train_digest.py --epochs 3 --threads 2 --micro-batch 4 --against HEAD~1
 
-BLAS is pinned to one thread so that only the shard threads vary.
+BLAS is pinned to one thread so that only the shard threads vary. Each
+digest line ends with the peak resident set size of the process that trained
+(``ru_maxrss``, read as KiB as Linux reports it), so one ``--against`` run
+shows both bit-identity and the memory change.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import hashlib
 import io
 import os
+import resource
 import subprocess
 import sys
 import tarfile
@@ -63,7 +68,7 @@ def compare(args) -> int:
                            (args.src, args.src)):
             out = subprocess.run(base + [os.path.abspath(src)], check=True,
                                  stdout=subprocess.PIPE, text=True).stdout
-            digests.append(out.split()[-1])
+            digests.append(out.splitlines()[-1].split()[0])
             print(f"{label}: {out.strip()}", flush=True)
     if digests[0] != digests[1]:
         print("digests differ")
@@ -105,7 +110,8 @@ def main(argv=None) -> int:
     history, opt = train(model, train_seqs, None, tcfg, threads=args.threads)
     print(f"epochs {args.epochs}  threads {args.threads}  micro_batch "
           f"{args.micro_batch}  final loss {history[-1]['train_loss']!r}")
-    print(digest(model, opt))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"{digest(model, opt)}  peak_rss_mb {peak_mb:.1f}")
     return 0
 
 
