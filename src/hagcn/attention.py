@@ -106,15 +106,11 @@ class SubsetAttention(Layer):
             if self.branches == "hybrid":
                 m = T.mul(self.alpha, m)
             terms.append(m)
-        if terms:
-            learned = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
-            a_fin = T.add(learned, self.a_base)
-        else:
+        if not terms:
             # every branch disabled: only the fixed matrix remains
-            n = x.data.shape[0]
-            v = self.a_base.data.shape[0]
-            a_fin = Tensor(np.broadcast_to(self.a_base.data,
-                                           (n, self.c_inter, v, v)).copy())
+            terms.append(np.zeros((x.data.shape[0], self.c_inter, 1, 1)))
+        learned = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
+        a_fin = T.add(learned, self.a_base)
         if self.extension_conv:
             return T.conv2d(a_fin, self.ext_w, self.ext_b)
         return T.tmean(a_fin, axes=1, keepdims=True)

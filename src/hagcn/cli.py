@@ -39,12 +39,12 @@ def _load_json(path):
         raise ConfigError(f"{path}: not valid JSON ({e})")
 
 
-def _resolve_graph(value, extra_links: bool = True) -> GraphSpec:
+def _resolve_graph(value) -> GraphSpec:
     if isinstance(value, str):
         if value not in BUILTIN_GRAPHS:
             raise ConfigError(f"unknown graph {value!r}; builtins: "
                               f"{sorted(BUILTIN_GRAPHS)}")
-        return build_graph(value, extra_links=extra_links)
+        return build_graph(value)
     if isinstance(value, dict):
         return GraphSpec.from_dict(value)
     raise ConfigError("graph must be a builtin name or a graph dict")
@@ -187,14 +187,14 @@ def cmd_train(args) -> int:
         raise ConfigError(f"cache labels outside [0, "
                           f"{model_cfg.num_classes}): {sorted(set(bad))[:5]}")
 
+    # build the model before touching --out: a failed build leaves nothing
+    threads = thread_count()
+    model = Model(model_cfg, seed=train_cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     effective = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()}
     with open(os.path.join(args.out, "config.json"), "w") as f:
         json.dump(effective, f, indent=2, sort_keys=True)
     print(json.dumps(effective, indent=2, sort_keys=True))
-
-    threads = thread_count()
-    model = Model(model_cfg, seed=train_cfg.seed)
 
     def report(epoch, _model, _opt, row):
         print(f"epoch {epoch:3d}  lr {row['lr']:.4g}  "
@@ -259,15 +259,20 @@ def cmd_fuse(args) -> int:
                 or any(type(v) is not int for v in r["labels"])):
             raise ConfigError(f"{p}: labels must be a list of integers")
         try:
-            mats.append(np.array(r["scores"], dtype=np.float64))
+            mat = np.array(r["scores"], dtype=np.float64)
         except (TypeError, ValueError):
             raise ConfigError(f"{p}: scores must be a matrix of "
                               f"numbers") from None
+        if not np.isfinite(mat).all():
+            raise ConfigError(f"{p}: scores hold non-finite values")
+        mats.append(mat)
     labels = reports[0]["labels"]
     for p, r in zip(args.reports[1:], reports[1:]):
         if r["labels"] != labels:
             raise ConfigError(f"{p}: label order differs from "
                               f"{args.reports[0]}")
+    if args.weights and not np.isfinite(args.weights).all():
+        raise ConfigError(f"--weights must be finite, got {args.weights}")
     fused = fuse_scores(mats, weights=args.weights)
     labels_arr = np.array(labels)
     out = {

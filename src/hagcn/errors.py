@@ -2,6 +2,7 @@
 that raise them."""
 
 import dataclasses
+import math
 import numbers
 
 
@@ -51,9 +52,12 @@ def config_keys(what: str, cls, d: dict, required=()) -> None:
 
 
 def config_real(name: str, value) -> None:
+    """Refuse bools, non-numbers, NaN and infinities."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} of the wrong type: expected a number, "
                           f"got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def config_bool(name: str, value) -> None:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError, config_bool, config_int, config_ints
 
 BUILTIN_GRAPHS = ("ntu25", "openpose18")
 
@@ -44,11 +44,14 @@ class GraphSpec:
     a_out: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = self.num_joints
-        if v < 1:
-            raise ValueError("graph needs at least one joint")
-        self.edges = tuple((int(p), int(c)) for p, c in self.edges)
-        self.hub_joints = tuple(int(h) for h in self.hub_joints)
+        v = self.num_joints = config_int("graph.num_joints", self.num_joints, 1)
+        if not (isinstance(self.edges, (list, tuple)) and all(
+                isinstance(e, (list, tuple)) and len(e) == 2 for e in self.edges)):
+            raise ConfigError(f"graph.edges of the wrong type: expected "
+                              f"integer pairs, got {self.edges!r}")
+        self.edges = tuple(config_ints("graph.edges", e) for e in self.edges)
+        self.hub_joints = config_ints("graph.hub_joints", self.hub_joints)
+        config_bool("graph.extra_links", self.extra_links)
         seen_children = set()
         for p, c in self.edges:
             if not (0 <= p < v and 0 <= c < v):
@@ -95,14 +98,15 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
+        """Rebuild from ``to_dict`` output; a value of the wrong type raises
+        ConfigError, a missing key or a non-dict FormatError."""
         try:
-            return cls(num_joints=int(d["num_joints"]),
-                       edges=tuple(tuple(e) for e in d["edges"]),
-                       hub_joints=tuple(d.get("hub_joints", ())),
-                       extra_links=bool(d.get("extra_links", False)))
+            return cls(num_joints=d["num_joints"], edges=d["edges"],
+                       hub_joints=d.get("hub_joints", ()),
+                       extra_links=d.get("extra_links", False))
         except KeyError as e:
             raise FormatError(f"graph dict missing key {e}") from e
-        except TypeError as e:
+        except TypeError as e:  # d is not a dict
             raise FormatError(f"malformed graph dict: {e}") from e
 
 

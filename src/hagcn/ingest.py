@@ -4,7 +4,7 @@ Sequences are float64 arrays shaped [persons][frames][joints][channels].
 Two source formats are supported: the line-oriented 25-joint skeleton text
 format and per-frame keypoint JSON (18 keypoints, x/y plus confidence). The
 cache format (magic ``HAGD``) stores a sequence count then, per sequence, a
-signed 64-bit label, the four dims as u64 and the coordinates as HAGT-style
+signed 64-bit label, the four dims as u64 and the coordinates as raw
 little-endian float64.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ STREAMS = ("joint", "bone", "joint_motion", "bone_motion")
 class SkeletonSequence:
     coords: np.ndarray  # (M, T, V, C)
     label: int = -1
-    valid_frames: int = -1  # defaults to T
     source_id: str = ""
 
     def __post_init__(self):
@@ -39,19 +38,28 @@ class SkeletonSequence:
         if not np.isfinite(self.coords).all():
             raise FormatError(f"non-finite coordinates in "
                               f"{self.source_id or 'sequence'}")
-        if self.valid_frames < 0:
-            self.valid_frames = self.coords.shape[1]
-        if self.valid_frames > self.coords.shape[1]:
-            raise ValueError("valid_frames exceeds stored frames")
 
     def replace_coords(self, coords) -> "SkeletonSequence":
         return SkeletonSequence(coords, label=self.label,
-                                valid_frames=self.valid_frames,
                                 source_id=self.source_id)
 
 
 # ---------------------------------------------------------------------------
 # parsers
+
+
+def _stack_people(frames, num_joints: int) -> np.ndarray:
+    """(M, T, V, 3) coordinates from per-frame lists of (V, 3) arrays.
+
+    M is the most people any frame holds, at least 1; absent people stay
+    zero.
+    """
+    coords = np.zeros((max([1, *map(len, frames)]), len(frames),
+                       num_joints, 3), dtype=np.float64)
+    for t, people in enumerate(frames):
+        for m, joints in enumerate(people):
+            coords[m, t] = joints
+    return coords
 
 
 def parse_ntu_skeleton(text: str, source_id: str = "",
@@ -82,14 +90,12 @@ def parse_ntu_skeleton(text: str, source_id: str = "",
     if num_frames < 0:
         raise FormatError("negative frame count")
     frames = []  # per frame: list of (25, 3) arrays
-    max_bodies = 1
     for f in range(num_frames):
         num_bodies = next_int(f"body count for frame {f}")
         if num_bodies < 0:
             raise FormatError(f"negative body count in frame {f}")
         if num_bodies > 2:
             raise FormatError(f"too many bodies in frame {f}: {num_bodies}")
-        max_bodies = max(max_bodies, num_bodies)
         bodies = []
         for b in range(num_bodies):
             next_line(f"body metadata for frame {f}")  # tracking fields, unused
@@ -109,12 +115,7 @@ def parse_ntu_skeleton(text: str, source_id: str = "",
                                       f"frame {f}") from None
             bodies.append(joints)
         frames.append(bodies)
-
-    coords = np.zeros((max_bodies, num_frames, 25, 3), dtype=np.float64)
-    for t, bodies in enumerate(frames):
-        for m, joints in enumerate(bodies):
-            coords[m, t] = joints
-    return SkeletonSequence(coords, label=label, valid_frames=num_frames,
+    return SkeletonSequence(_stack_people(frames, 25), label=label,
                             source_id=source_id)
 
 
@@ -142,9 +143,7 @@ def parse_openpose_json(text: str, source_id: str = "",
         if type(label) is not int:  # not a bool, float or list
             raise FormatError(f"label_index must be an integer, got {label!r}")
 
-    num_frames = len(data)
     frames = []
-    max_people = 1
     for t, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise FormatError(f"frame {t} is not an object")
@@ -172,15 +171,8 @@ def parse_openpose_json(text: str, source_id: str = "",
                                   f"range") from None
             people.append(joints)
         people.sort(key=lambda j: -float(j[:, 2].mean()))
-        people = people[:2]
-        max_people = max(max_people, len(people))
-        frames.append(people)
-
-    coords = np.zeros((max_people, num_frames, 18, 3), dtype=np.float64)
-    for t, people in enumerate(frames):
-        for m, joints in enumerate(people):
-            coords[m, t] = joints
-    return SkeletonSequence(coords, label=label, valid_frames=num_frames,
+        frames.append(people[:2])
+    return SkeletonSequence(_stack_people(frames, 18), label=label,
                             source_id=source_id)
 
 
@@ -206,11 +198,9 @@ def to_bone(seq: SkeletonSequence, graph: GraphSpec) -> SkeletonSequence:
 
 
 def to_motion(seq: SkeletonSequence) -> SkeletonSequence:
-    """Frame-difference stream; the final valid frame's motion is zero."""
+    """Frame-difference stream; the final frame's motion is zero."""
     motion = np.zeros_like(seq.coords)
-    n = seq.valid_frames
-    if n > 1:
-        motion[:, :n - 1] = seq.coords[:, 1:n] - seq.coords[:, :n - 1]
+    motion[:, :-1] = seq.coords[:, 1:] - seq.coords[:, :-1]
     return seq.replace_coords(motion)
 
 
@@ -259,10 +249,11 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
                    augment: str = "none", rng: np.random.Generator = None):
     """Stack sequences into a (N, M, C, T, V) array plus a label vector.
 
-    Valid frames loop-repeat to fill max_frames (and truncate beyond it);
-    missing persons stay zero. Augmentation (kind 'rotate_shift') runs on the
-    raw joints before stream derivation so derived streams inherit it. With
-    augment='none' the result is a pure deterministic function of the inputs.
+    A sequence's frames loop-repeat to fill max_frames (and truncate beyond
+    it); missing persons, and a sequence with no frames, stay zero.
+    Augmentation (kind 'rotate_shift') runs on the raw joints before stream
+    derivation so derived streams inherit it. With augment='none' the result
+    is a pure deterministic function of the inputs.
     """
     if not seqs:
         raise ValueError("assemble_batch needs at least one sequence")
@@ -281,11 +272,11 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
         if augment == "rotate_shift":
             seq = augment_sequence(seq, rng)
         seq = derive_stream(seq, stream, graph)
-        valid = min(seq.valid_frames, seq.coords.shape[1])
-        if valid == 0:
+        frames = seq.coords.shape[1]
+        if frames == 0:
             continue
         m = min(seq.coords.shape[0], max_persons)
-        idx = np.arange(max_frames) % valid
+        idx = np.arange(max_frames) % frames
         # (M, T, V, C) gathered over frames -> (M, C, T, V)
         batch[n, :m] = seq.coords[:m, idx].transpose(0, 3, 1, 2)
     return batch, labels
@@ -296,7 +287,7 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
 
 
 def save_cache(path, seqs) -> None:
-    """Write sequences (trimmed to their valid frames) as a HAGD cache.
+    """Write sequences as a HAGD cache.
 
     Labels are checked before the file is opened, so a bad one leaves none.
     """
@@ -308,10 +299,8 @@ def save_cache(path, seqs) -> None:
         f.write(CACHE_MAGIC)
         f.write(struct.pack("<Q", len(seqs)))
         for seq in seqs:
-            m, t, v, c = seq.coords.shape
-            t = min(t, seq.valid_frames)
-            f.write(struct.pack("<qQQQQ", int(seq.label), m, t, v, c))
-            f.write(seq.coords[:, :t].astype("<f8").tobytes())
+            f.write(struct.pack("<qQQQQ", int(seq.label), *seq.coords.shape))
+            f.write(seq.coords.astype("<f8").tobytes())
 
 
 def load_cache(path):
@@ -328,7 +317,6 @@ def load_cache(path):
             raw = _read_exact(f, 8 * m * t * v * c)
             coords = np.frombuffer(raw, dtype="<f8").reshape(m, t, v, c)
             seqs.append(SkeletonSequence(np.array(coords), label=int(label),
-                                         valid_frames=int(t),
                                          source_id=f"{path}[{i}]"))
         if f.read(1):
             raise FormatError(f"trailing bytes in cache {path}")

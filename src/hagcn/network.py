@@ -71,10 +71,8 @@ class ModelConfig:
             raise ConfigError("dropout must be in [0, 1)")
 
     @classmethod
-    def ntu_default(cls, num_classes: int = 60,
-                    extra_links: bool = True) -> "ModelConfig":
-        return cls(num_classes=num_classes,
-                   graph=build_graph("ntu25", extra_links=extra_links))
+    def ntu_default(cls, num_classes: int = 60) -> "ModelConfig":
+        return cls(num_classes=num_classes, graph=build_graph("ntu25"))
 
     def single_branch(self, which: str = "rd") -> "ModelConfig":
         return replace(self, attention=which)

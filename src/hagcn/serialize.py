@@ -2,8 +2,8 @@
 
 Tensor blobs carry the magic ``HAGT`` followed by the rank as a little-endian
 u64, each dimension as a u64, then the elements as little-endian float64 in
-row-major order. Container formats (dataset caches, checkpoints) are built
-from these blobs plus length-prefixed names and JSON blocks.
+row-major order. The checkpoint format is built from these blobs plus
+length-prefixed names and JSON blocks.
 """
 
 from __future__ import annotations
@@ -64,19 +64,6 @@ def read_tensor(f) -> np.ndarray:
     except ValueError as e:  # a zero dim beside one numpy cannot index
         raise FormatError(f"bad tensor dims {dims}: {e}") from e
     return np.array(data, dtype=np.float64)
-
-
-def save_tensor(path, arr) -> None:
-    with open(path, "wb") as f:
-        write_tensor(f, arr)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        arr = read_tensor(f)
-        if f.read(1):
-            raise FormatError("trailing bytes after tensor")
-    return arr
 
 
 def write_string(f, s: str) -> None:

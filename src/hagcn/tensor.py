@@ -7,8 +7,8 @@ arithmetic, batched matmul, a temporal (k_t x 1) convolution with
 stride/dilation/padding, batch and layer normalization, pointwise
 nonlinearities, reductions, shape moves, concatenation and inverted dropout.
 ``backward`` walks the nodes in reverse topological order and returns the
-leaf gradients by the leaf Tensor's ``id``; ``grad_check`` compares analytic
-gradients against central differences.
+leaf gradients keyed by each leaf's node (``leaf.node``); ``grad_check``
+compares analytic gradients against central differences.
 
 Graph memory follows one rule: a node never holds a Tensor or its data,
 and a closure captures only the arrays and shapes that the formulas for the
@@ -27,7 +27,6 @@ in place when that keeps every operation and its order unchanged.
 from __future__ import annotations
 
 import contextvars
-import weakref
 
 import numpy as np
 
@@ -37,12 +36,12 @@ from .errors import NondeterminismError
 class Tensor:
     """An ndarray plus, when gradients are required, its graph node."""
 
-    __slots__ = ("data", "node", "__weakref__")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         # a leaf's node exists from the start: shard threads share parameters
-        self.node = Node((), None, weakref.ref(self)) if requires_grad else None
+        self.node = Node((), None) if requires_grad else None
 
     @property
     def requires_grad(self) -> bool:
@@ -71,15 +70,14 @@ class Node:
     ``parents`` holds one entry per op input: that input's node, or None for a
     constant. ``backward`` maps the output gradient to a tuple aligned with
     ``parents`` (None where no gradient is needed). A leaf has no parents and
-    no closure, and ``leaf`` is a weak reference to its Tensor.
+    no closure; the module's ``backward`` keys the leaf's gradient by it.
     """
 
-    __slots__ = ("parents", "backward", "leaf")
+    __slots__ = ("parents", "backward")
 
-    def __init__(self, parents, backward, leaf=None):
+    def __init__(self, parents, backward):
         self.parents = parents
         self.backward = backward
-        self.leaf = leaf
 
 
 def as_tensor(x) -> Tensor:
@@ -209,17 +207,15 @@ def matmul(a, b) -> Tensor:
 # convolution
 
 
-def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
     """Temporal convolution over (N, C, T, V) input.
 
-    The kernel is (C_out, C_in, k_t, 1); stride, dilation and zero padding
-    apply to the temporal axis. Each tap is one matmul of its weights with
-    the shifted input seen as (N, C_in, T_out*V), a free view for 1x1
-    stride-1 convs.
+    The kernel is (C_out, C_in, k_t, 1) and the bias (C_out,); stride,
+    dilation and zero padding apply to the temporal axis. Each tap is one
+    matmul of its weights with the shifted input seen as (N, C_in, T_out*V),
+    a free view for 1x1 stride-1 convs.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    if b is not None:
-        b = as_tensor(b)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
     n, c_in, t, v = x.data.shape
@@ -229,7 +225,7 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
                          f"got {w.data.shape}")
     if c_in != c_in_w:
         raise ValueError(f"conv2d channel mismatch: input {c_in}, kernel {c_in_w}")
-    if b is not None and b.data.shape != (c_out,):
+    if b.data.shape != (c_out,):
         raise ValueError("conv2d bias must be (C_out,)")
     if stride < 1 or dilation < 1 or pad < 0:
         raise ValueError("conv2d stride/dilation must be >= 1 and pad >= 0")
@@ -255,8 +251,7 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
     for it in range(1, k_t):
         data += np.matmul(wk[it], tap(xp, it))
     data = data.reshape(n, c_out, t_out, v)
-    if b is not None:
-        data += b.data.reshape(1, c_out, 1, 1)
+    data += b.data.reshape(1, c_out, 1, 1)
     # the (padded) input is saved only for dW, the weights only for dx
     xs = xp if w.requires_grad else None
     ws = wk if x.requires_grad else None
@@ -284,12 +279,9 @@ def conv2d(x, w, b=None, stride: int = 1, dilation: int = 1, pad: int = 0) -> Te
                     dxp[:, :, t0:t0 + span:stride] += np.matmul(
                         ws[it].T, g3).reshape(n, c_in, t_out, v)
                 dx = dxp[:, :, pad:pad + t, :] if pad else dxp
-        if b is None:
-            return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return _make(data, parents, back)
+    return _make(data, (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -569,29 +561,29 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def _topo(root: Node):
     """Reverse-postorder DFS over nodes; raises on cycles (graph abuse)."""
     order = []
-    state = {id(root): 1}  # id -> 1 on stack, 2 done
+    state = {root: 1}  # node -> 1 on stack, 2 done
     stack = [(root, iter(root.parents))]
     while stack:
         node, it = stack[-1]
         for p in it:
             if p is None:
                 continue
-            s = state.get(id(p))
+            s = state.get(p)
             if s == 1:
                 raise ValueError("cycle detected in autodiff graph")
             if s is None:
-                state[id(p)] = 1
+                state[p] = 1
                 stack.append((p, iter(p.parents)))
                 break
         else:
             stack.pop()
-            state[id(node)] = 2
+            state[node] = 2
             order.append(node)
     return order
 
 
 def backward(loss: Tensor) -> dict:
-    """Backpropagate from a scalar loss; returns {id(leaf): gradient}.
+    """Backpropagate from a scalar loss; returns {leaf.node: gradient}.
 
     Nothing is stored on the tensors, so shards can share parameters
     race-free. The graph holds only what backward formulas read, and
@@ -605,30 +597,27 @@ def backward(loss: Tensor) -> dict:
     if loss.node is None:
         return {}
     order = _topo(loss.node)
-    flows = {id(loss.node): np.ones_like(loss.data)}
-    owned = set()  # ids whose flow is a sum this walk allocated
+    flows = {loss.node: np.ones_like(loss.data)}
+    owned = set()  # nodes whose flow is a sum this walk allocated
     grads = {}
     for node in reversed(order):
-        g = flows.pop(id(node), None)
-        owned.discard(id(node))
+        g = flows.pop(node, None)
+        owned.discard(node)
         if g is None:
             continue
-        if node.leaf is not None:
-            leaf = node.leaf()
-            if leaf is not None:  # a dead leaf's gradient has no reader
-                grads[id(leaf)] = g
+        if node.backward is None:  # a leaf
+            grads[node] = g
             continue
         for parent, pg in zip(node.parents, node.backward(g)):
             if pg is None or parent is None:
                 continue
-            pid = id(parent)
-            if pid not in flows:
-                flows[pid] = pg
-            elif pid in owned:
-                flows[pid] += pg
+            if parent not in flows:
+                flows[parent] = pg
+            elif parent in owned:
+                flows[parent] += pg
             else:
-                flows[pid] = flows[pid] + pg
-                owned.add(pid)
+                flows[parent] = flows[parent] + pg
+                owned.add(parent)
     return grads
 
 
@@ -653,7 +642,7 @@ def grad_check(fn, x: Tensor, eps: float = 1e-5) -> float:
             or out1.data.tobytes() != out2.data.tobytes()):
         raise NondeterminismError("fn returned different outputs on identical input")
 
-    analytic = backward(tsum(out2)).get(id(probe), np.zeros_like(base))
+    analytic = backward(tsum(out2)).get(probe.node, np.zeros_like(base))
 
     numeric = np.empty_like(base)
     flat = base.reshape(-1)

@@ -172,7 +172,7 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
     for i in range(len(shards)):
         shard_grads, sink, loss_i, _ = results[i]
         for name, p in params:
-            g = shard_grads.get(id(p))
+            g = shard_grads.get(p.node)
             if g is not None:
                 grads[name] = g if name not in grads else grads[name] + g
         for layer, mean, var in sink:

@@ -12,6 +12,7 @@ import pytest
 
 from hagcn import cli
 from hagcn.evaluation import capture_masks, read_mask_csv, read_pgm
+from hagcn.graph import build_graph
 from hagcn.ingest import assemble_batch, load_cache, save_cache
 from hagcn.network import load_checkpoint
 
@@ -169,11 +170,13 @@ def test_train_reports_unallocatable_label_space(tmp_path, capsys):
     assert run(["train", "--train-cache", cache, "--config", str(cfg_path),
                 "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not os.path.exists(tmp_path / "run")  # no stray config.json
 
 
 def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     cache = make_cache(tmp_path, "train.hagd")
-    # unknown keys, then values of the wrong type
+    ntu = build_graph("ntu25").to_dict()
+    # unknown keys, then values of the wrong type or not finite
     for bad in ({"mode": {}},
                 {"model": {"num_classes": 3, "optimizer": "adam"}},
                 {"train": {"epochs": 1, "warmup": 5}},
@@ -191,13 +194,26 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
                 {"model": {"num_classes": 3.5}},
                 {"model": {"extension_conv": "false"}},
                 {"model": {"channels": [8.7, 8], "strides": [1, 1]}},
-                {"model": {"num_classes": True}}):
+                {"model": {"num_classes": True}},
+                {"model": {"graph": dict(ntu, extra_links="false")}},
+                {"model": {"graph": dict(ntu, num_joints=25.9)}},
+                {"model": {"graph": dict(ntu, edges=[[1.7, 0]])}},
+                {"model": {"graph": dict(ntu, hub_joints=["3"])}},
+                {"train": {"weight_decay": float("nan")}},
+                {"train": {"lr": float("inf")}},
+                {"model": {"dropout": float("-inf")}}):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(bad))
         code = run(["train", "--train-cache", cache, "--config",
                     str(cfg_path), "--out", str(tmp_path / "run")])
-        assert code == 1
+        assert code == 1, bad
         assert "error:" in capsys.readouterr().err
+    for flag in (["--lr", "inf"], ["--lr", "nan"]):
+        code = run(["train", "--train-cache", cache, "--out",
+                    str(tmp_path / "run")] + flag)
+        assert code == 1, flag
+        assert "must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
 
 
 def test_train_rejects_malformed_json(tmp_path, capsys):
@@ -363,12 +379,22 @@ def test_fuse_rejects_non_report_json(tmp_path, capsys):
                        ({"scores": [[0.5, 0.5]], "labels": [True]}, "labels"),
                        ({"scores": [["x", 0.5]], "labels": [0]}, "scores"),
                        ({"scores": [[0.5], [0.5, 0.5]], "labels": [0, 1]},
-                        "scores")):
+                        "scores"),
+                       ({"scores": [[float("nan"), 0.5]], "labels": [0]},
+                        "non-finite"),
+                       ({"scores": [[0.5, float("inf")]], "labels": [0]},
+                        "non-finite")):
         p.write_text(json.dumps(doc))
         assert run(["fuse", "--reports", str(p), "--out",
                     str(tmp_path / "f.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {p}") and match in err, doc
+    p.write_text(json.dumps({"scores": [[0.5, 0.5]], "labels": [0]}))
+    for weights in (["nan", "1"], ["1", "inf"]):
+        assert run(["fuse", "--reports", str(p), str(p), "--weights",
+                    *weights, "--out", str(tmp_path / "f.json")]) == 1
+        assert "--weights must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "f.json")
 
 
 def test_ablate_reports_all_modes(trained, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hagcn.errors import FormatError
+from hagcn.errors import ConfigError, FormatError
 from hagcn.graph import (GraphSpec, build_graph, load_edge_file, normalize_columns,
                          parse_edge_text, with_links)
 
@@ -94,8 +94,30 @@ class TestGraphSpec:
         assert np.array_equal(g2.a_out, g.a_out)
 
     def test_missing_dict_key(self):
-        with pytest.raises(FormatError):
-            GraphSpec.from_dict({"edges": []})
+        for d in ({"edges": []}, [1, 2], "ntu25", None):
+            with pytest.raises(FormatError):
+                GraphSpec.from_dict(d)
+
+    @pytest.mark.parametrize("change,field", [
+        ({"extra_links": "false"}, "extra_links"),
+        ({"extra_links": 1}, "extra_links"),
+        ({"num_joints": 3.9}, "num_joints"),
+        ({"num_joints": True}, "num_joints"),
+        ({"num_joints": "3"}, "num_joints"),
+        ({"num_joints": 0}, "num_joints"),
+        ({"edges": [[1.7, 0]]}, "edges"),
+        ({"edges": [[0, 1, 2]]}, "edges"),
+        ({"edges": [0, 1]}, "edges"),
+        ({"edges": "0 1"}, "edges"),
+        ({"hub_joints": ["2"]}, "hub_joints"),
+        ({"hub_joints": [2.0]}, "hub_joints"),
+        ({"hub_joints": 2}, "hub_joints"),
+    ])
+    def test_dict_values_are_checked_not_coerced(self, change, field):
+        d = dict({"num_joints": 3, "edges": [[0, 1], [1, 2]],
+                  "hub_joints": [0, 2], "extra_links": True}, **change)
+        with pytest.raises(ConfigError, match=f"graph.{field}"):
+            GraphSpec.from_dict(d)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown graph"):

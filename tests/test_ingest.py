@@ -25,7 +25,6 @@ class TestNtuParser:
         seq = parse_ntu_skeleton((FIXTURES / "sample.skeleton").read_text(),
                                  source_id="sample.skeleton")
         assert seq.coords.shape == (2, 2, 25, 3)
-        assert seq.valid_frames == 2
         b, t, j = np.meshgrid(np.arange(2), np.arange(2), np.arange(25),
                               indexing="ij")
         expect_x = t + 0.01 * j + 100.0 * b
@@ -38,7 +37,6 @@ class TestNtuParser:
 
     def test_zero_frames_is_empty_sequence(self):
         seq = parse_ntu_skeleton("0\n")
-        assert seq.valid_frames == 0
         assert seq.coords.shape == (1, 0, 25, 3)
 
     def test_bodyless_frame_stays_zero(self):
@@ -144,11 +142,10 @@ class TestStreams:
             to_bone(SkeletonSequence(np.zeros((1, 1, 5, 3))), chain_graph(3))
 
     def test_motion_last_valid_frame_zero(self):
-        coords = np.zeros((1, 4, 2, 3))
-        coords[0, :, 0, 0] = [1.0, 4.0, 9.0, 100.0]
-        seq = SkeletonSequence(coords, valid_frames=3)
-        motion = to_motion(seq).coords
-        assert np.array_equal(motion[0, :, 0, 0], [3.0, 5.0, 0.0, 0.0])
+        coords = np.zeros((1, 3, 2, 3))
+        coords[0, :, 0, 0] = [1.0, 4.0, 9.0]
+        motion = to_motion(SkeletonSequence(coords)).coords
+        assert np.array_equal(motion[0, :, 0, 0], [3.0, 5.0, 0.0])
 
     def test_motion_empty(self):
         seq = SkeletonSequence(np.zeros((1, 0, 2, 3)))
@@ -254,16 +251,19 @@ class TestCache:
         assert len(out) == 3
         for a, b in zip(seqs, out):
             assert b.label == a.label
-            assert b.valid_frames == a.valid_frames
             assert np.array_equal(b.coords, a.coords)
 
-    def test_trims_to_valid_frames(self, tmp_path):
-        coords = np.ones((1, 6, 2, 3))
-        seq = SkeletonSequence(coords, valid_frames=2)
-        path = tmp_path / "trim.hagd"
-        save_cache(path, [seq])
-        out = load_cache(path)[0]
-        assert out.coords.shape == (1, 2, 2, 3)
+    def test_byte_layout(self, tmp_path):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((1, 3, 2, 3))
+        b = rng.standard_normal((2, 4, 5, 3))  # two persons
+        path = tmp_path / "layout.hagd"
+        save_cache(path, [SkeletonSequence(a, label=7),
+                          SkeletonSequence(b, label=-2)])
+        want = (b"HAGD" + struct.pack("<Q", 2)
+                + struct.pack("<qQQQQ", 7, 1, 3, 2, 3) + a.astype("<f8").tobytes()
+                + struct.pack("<qQQQQ", -2, 2, 4, 5, 3) + b.astype("<f8").tobytes())
+        assert path.read_bytes() == want
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.hagd"

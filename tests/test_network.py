@@ -385,7 +385,15 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
             ({"format_version": version,
               "config": dict(config, graph="ntu25")}, "graph"),
             ({"format_version": version,
-              "config": dict(config, channels=8)}, "wrong type")):
+              "config": dict(config, channels=8)}, "wrong type"),
+            ({"format_version": version,
+              "config": dict(config, graph=dict(config["graph"],
+                                                extra_links="false"))},
+             "graph.extra_links"),
+            ({"format_version": version,
+              "config": dict(config, graph=dict(config["graph"],
+                                                num_joints=5.0))},
+             "graph.num_joints")):
         with open(path, "wb") as f:
             f.write(N.CHECKPOINT_MAGIC)
             write_json_block(f, header)

@@ -42,19 +42,19 @@ class TestForwardValues:
     def test_conv_temporal_same_pad(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]).reshape(1, 1, 3, 1))
         w = Tensor(np.ones((1, 1, 3, 1)))
-        out = T.conv2d(x, w, pad=1)
+        out = T.conv2d(x, w, np.zeros(1), pad=1)
         assert np.array_equal(out.data.ravel(), [3.0, 6.0, 5.0])
 
     def test_conv_temporal_stride(self):
         x = Tensor(np.array([1.0, 2, 3, 4, 5]).reshape(1, 1, 5, 1))
         w = Tensor(np.ones((1, 1, 3, 1)))
-        out = T.conv2d(x, w, stride=2, pad=1)
+        out = T.conv2d(x, w, np.zeros(1), stride=2, pad=1)
         assert np.array_equal(out.data.ravel(), [3.0, 9.0, 9.0])
 
     def test_conv_temporal_dilation(self):
         x = Tensor(np.array([1.0, 2, 3, 4, 5]).reshape(1, 1, 5, 1))
         w = Tensor(np.ones((1, 1, 3, 1)))
-        out = T.conv2d(x, w, dilation=2, pad=2)
+        out = T.conv2d(x, w, np.zeros(1), dilation=2, pad=2)
         assert np.array_equal(out.data.ravel(), [4.0, 6.0, 9.0, 6.0, 8.0])
 
     def test_conv_bias_and_channels(self):
@@ -69,16 +69,18 @@ class TestForwardValues:
 
     def test_conv_channel_mismatch(self):
         with pytest.raises(ValueError):
-            T.conv2d(Tensor(np.ones((1, 2, 3, 4))), Tensor(np.ones((1, 3, 1, 1))))
+            T.conv2d(Tensor(np.ones((1, 2, 3, 4))), Tensor(np.ones((1, 3, 1, 1))),
+                     np.zeros(1))
 
     def test_conv_kernel_too_large(self):
         with pytest.raises(ValueError):
-            T.conv2d(Tensor(np.ones((1, 1, 2, 1))), Tensor(np.ones((1, 1, 5, 1))))
+            T.conv2d(Tensor(np.ones((1, 1, 2, 1))), Tensor(np.ones((1, 1, 5, 1))),
+                     np.zeros(1))
 
     def test_conv_rejects_joint_kernel(self):
         with pytest.raises(ValueError, match="k_t, 1"):
             T.conv2d(Tensor(np.ones((2, 3, 10, 4))), Tensor(np.ones((4, 3, 3, 2))),
-                     pad=1)
+                     np.zeros(4), pad=1)
 
     def test_batch_norm_constant_input_is_beta(self):
         x = Tensor(np.full((2, 3, 2, 2), 5.0))
@@ -154,12 +156,12 @@ class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = randt((3, 4), seed=1)
         grads = backward(T.tsum(x))
-        assert np.array_equal(grads[id(x)], np.ones((3, 4)))
+        assert np.array_equal(grads[x.node], np.ones((3, 4)))
 
     def test_square_gradient(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         grads = backward(T.tsum(T.mul(x, x)))
-        assert np.allclose(grads[id(x)], [6.0])
+        assert np.allclose(grads[x.node], [6.0])
 
     def test_non_scalar_loss_rejected(self):
         x = randt((2, 2))
@@ -182,8 +184,8 @@ class TestBackward:
     def test_grad_map_collection(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         grads = backward(T.tsum(T.mul(x, x)))
-        assert list(grads) == [id(x)]
-        assert np.allclose(grads[id(x)], [6.0])
+        assert list(grads) == [x.node]
+        assert np.allclose(grads[x.node], [6.0])
 
 
 class TestGradCheck:
@@ -394,7 +396,7 @@ class TestFlowAccumulation:
         grads = backward(loss)
         for p, data, w in zip(leaves, before, want):
             assert same_bits(p.data, data)
-            assert np.array_equal(grads[id(p)], w)
+            assert np.array_equal(grads[p.node], w)
         assert seen and all(same_bits(a, copy) for a, copy in seen)
 
     def test_add_of_self(self):
@@ -457,7 +459,7 @@ class TestGraphMemory:
         alive = ref() is not None
         grads = backward(loss)
         del kept
-        return alive, [grads[id(p)] for p in leaves]
+        return alive, [grads[p.node] for p in leaves]
 
     @pytest.mark.parametrize("op", sorted(UNREAD_INPUT))
     def test_unread_input_dies_with_its_last_reference(self, op):
@@ -470,18 +472,20 @@ class TestGraphMemory:
     def test_leaf_node_exists_from_construction(self):
         x = Tensor(np.ones(3), requires_grad=True)
         node = x.node
-        assert node is not None and node.parents == () and node.leaf() is x
+        assert node is not None and node.parents == () and node.backward is None
         T.mul(x, x)
         assert x.node is node and Tensor(np.ones(3)).node is None
 
-    def test_dead_leaf_gradient_is_dropped(self):
-        # the first leaf dies before the second is built, so the two may share
-        # an id; only the live one may report a gradient under it
+    def test_gradients_are_keyed_by_leaf_node(self):
+        # the first leaf's Tensor dies before the second is built, so the two
+        # may share an id; their nodes stay distinct keys
         h = T.mul(Tensor(np.full(3, 2.0), requires_grad=True), 2.0)
+        dead = h.node.parents[0]
         x = Tensor(np.ones(3), requires_grad=True)
         grads = backward(T.tsum(T.mul(h, x)))
-        assert list(grads) == [id(x)]
-        assert np.array_equal(grads[id(x)], np.full(3, 4.0))
+        assert set(grads) == {x.node, dead}
+        assert np.array_equal(grads[x.node], np.full(3, 4.0))
+        assert np.array_equal(grads[dead], np.full(3, 2.0))
 
 
 class TestSerialization:
@@ -540,11 +544,6 @@ class TestSerialization:
         assert list(out) == ["w", "b"]
         assert np.array_equal(out["w"], items[0][1])
 
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "t.hagt"
-        serialize.save_tensor(path, np.arange(5.0))
-        assert np.array_equal(serialize.load_tensor(path), np.arange(5.0))
-
 
 class TestNoGrad:
     def test_no_grad_skips_graph_construction(self):
@@ -567,8 +566,8 @@ class TestNoGrad:
         x = Tensor(np.array([2.0]), requires_grad=True)
         mid = T.mul(x, x)
         grads = backward(T.tsum(mid))
-        assert id(mid) not in grads  # only leaves are collected
-        assert np.allclose(grads[id(x)], [4.0])
+        assert mid.node not in grads  # only leaves are collected
+        assert np.allclose(grads[x.node], [4.0])
 
     def test_no_grad_is_local_to_its_thread(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -184,7 +184,7 @@ def test_single_shard_matches_direct_backward():
     gb = dict(b.named_params())
     assert set(grads) == set(gb)
     for name, g in grads.items():
-        assert g.tobytes() == grads_b[id(gb[name])].tobytes(), name
+        assert g.tobytes() == grads_b[gb[name].node].tobytes(), name
     for (_, ba), (_, bb) in zip(a.named_buffers(), b.named_buffers()):
         assert ba.tobytes() == bb.tobytes()
 
@@ -266,7 +266,6 @@ def test_make_synthetic_shapes_and_labels():
     assert labels == list(range(8))
     for s in seqs:
         assert s.coords.shape == (1, 20, 25, 3)
-        assert s.valid_frames == 20
         assert np.isfinite(s.coords).all()
 
 

@@ -3,8 +3,10 @@
 
 Trains the desk stack (channels 8, 8, 16, 16; strides 1, 1, 2, 1; no
 dropout) on ``synthetic_split(50, 20)`` with lr 0.05, then hashes every
-parameter, buffer and SGD velocity array by name. Two checkouts whose
-arithmetic is bit-identical print the same digest:
+parameter, buffer and SGD velocity array by name. ``--stream`` picks the
+input stream (default ``joint``); only the derived streams run the bone and
+motion transforms. Two checkouts whose arithmetic is bit-identical print the
+same digest:
 
     python3 tools/train_digest.py --epochs 3
     python3 tools/train_digest.py --epochs 3 --src ../other-checkout/src
@@ -16,6 +18,7 @@ processes with the same arguments, prints both and exits 1 if they differ
 
     python3 tools/train_digest.py --epochs 3 --against HEAD~1
     python3 tools/train_digest.py --epochs 3 --threads 2 --micro-batch 4 --against HEAD~1
+    python3 tools/train_digest.py --epochs 3 --stream bone_motion --against HEAD~1
 
 BLAS is pinned to one thread so that only the shard threads vary. Each
 digest line ends with the peak resident set size of the process that trained
@@ -45,6 +48,9 @@ def parse_args(argv=None):
                    help="shard worker threads")
     p.add_argument("--micro-batch", type=int, default=0,
                    help="shard size (0 = whole batch)")
+    p.add_argument("--stream", default="joint",
+                   choices=("joint", "bone", "joint_motion", "bone_motion"),
+                   help="input stream to train on")
     p.add_argument("--src", default=os.path.join(ROOT, "src"),
                    help="directory holding the hagcn package to test")
     p.add_argument("--against", metavar="REV",
@@ -59,7 +65,8 @@ def compare(args) -> int:
                               "src"], check=True, stdout=subprocess.PIPE).stdout
     base = [sys.executable, os.path.abspath(__file__), "--epochs",
             str(args.epochs), "--threads", str(args.threads),
-            "--micro-batch", str(args.micro_batch), "--src"]
+            "--micro-batch", str(args.micro_batch), "--stream", args.stream,
+            "--src"]
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
@@ -105,11 +112,12 @@ def main(argv=None) -> int:
                       dropout=0.0)
     model = Model(cfg, seed=0)
     tcfg = TrainConfig(epochs=args.epochs, batch_size=16, lr=0.05,
-                       milestones=(10,), seed=0, max_frames=64,
-                       micro_batch=args.micro_batch)
+                       milestones=(10,), seed=0, stream=args.stream,
+                       max_frames=64, micro_batch=args.micro_batch)
     history, opt = train(model, train_seqs, None, tcfg, threads=args.threads)
     print(f"epochs {args.epochs}  threads {args.threads}  micro_batch "
-          f"{args.micro_batch}  final loss {history[-1]['train_loss']!r}")
+          f"{args.micro_batch}  stream {args.stream}  "
+          f"final loss {history[-1]['train_loss']!r}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"{digest(model, opt)}  peak_rss_mb {peak_mb:.1f}")
     return 0
