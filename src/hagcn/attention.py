@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .graph import GraphSpec
-from .layers import Layer, uniform_init, zeros_param
+from .layers import Layer, ones_param, uniform_init, zeros_param
 from .tensor import Tensor
 
 BRANCH_MODES = ("hybrid", "rd", "ra")
@@ -43,7 +43,7 @@ class BranchCompression(Layer):
     def __init__(self, c_in: int, c_inter: int, rng: np.random.Generator):
         self.w = uniform_init(rng, (c_inter, c_in, 1, 1), c_in)
         self.b = zeros_param(c_inter)
-        self.gamma = Tensor(np.ones(c_inter), requires_grad=True)
+        self.gamma = ones_param(c_inter)
         self.beta = zeros_param(c_inter)
 
     def forward(self, x) -> Tensor:

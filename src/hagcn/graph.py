@@ -7,19 +7,50 @@ transpose flow). When hub links are enabled, every unordered hub pair (u, v)
 with u < v contributes one inward entry (v treated as child of u) and the
 mirrored outward entry, so each subset gains exactly one nonzero per pair.
 Matrices are column-normalized: each source joint's outgoing mass sums to 1.
+
+Two skeletons are built in, ``ntu25`` and ``openpose18``; ``build_graph``
+returns either with hub links on. Any other layout, or a built-in one without
+hub links, is a ``GraphSpec`` or its ``to_dict`` form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, config_bool, config_int, config_ints
+from .errors import (ConfigError, FormatError, config_bool, config_int,
+                     config_ints, config_keys)
 
-BUILTIN_GRAPHS = ("ntu25", "openpose18")
+BUILTIN_GRAPHS = {
+    # NTU RGB+D (Kinect v2), rooted at spine-mid (1). Joints:
+    #  0 spine-base   1 spine-mid    2 neck         3 head         4 l-shoulder
+    #  5 l-elbow      6 l-wrist      7 l-hand       8 r-shoulder   9 r-elbow
+    # 10 r-wrist     11 r-hand      12 l-hip       13 l-knee      14 l-ankle
+    # 15 l-foot      16 r-hip       17 r-knee      18 r-ankle     19 r-foot
+    # 20 spine-shoulder  21 l-hand-tip  22 l-thumb  23 r-hand-tip  24 r-thumb
+    "ntu25": {
+        "num_joints": 25,
+        "edges": ((1, 0), (1, 20), (20, 2), (2, 3), (20, 4), (4, 5), (5, 6),
+                  (6, 7), (20, 8), (8, 9), (9, 10), (10, 11), (0, 12),
+                  (12, 13), (13, 14), (14, 15), (0, 16), (16, 17), (17, 18),
+                  (18, 19), (22, 21), (7, 22), (24, 23), (11, 24)),
+        "hub_joints": (3, 21, 23, 15, 19),  # head, hand tips, feet
+    },
+    # OpenPose 18 keypoints, rooted at the neck (1). Keypoints:
+    #  0 nose      1 neck       2 r-shoulder  3 r-elbow   4 r-wrist
+    #  5 l-shoulder  6 l-elbow  7 l-wrist     8 r-hip     9 r-knee
+    # 10 r-ankle  11 l-hip     12 l-knee     13 l-ankle  14 r-eye
+    # 15 l-eye    16 r-ear     17 l-ear
+    "openpose18": {
+        "num_joints": 18,
+        "edges": ((1, 0), (1, 2), (1, 5), (2, 3), (3, 4), (5, 6), (6, 7),
+                  (2, 8), (8, 9), (9, 10), (5, 11), (11, 12), (12, 13),
+                  (0, 14), (0, 15), (14, 16), (15, 17)),
+        "hub_joints": (0, 4, 7, 10, 13),  # nose, wrists, ankles
+    },
+}
 
 
 def normalize_columns(a: np.ndarray) -> np.ndarray:
@@ -33,15 +64,12 @@ def normalize_columns(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GraphSpec:
-    """Immutable description of a skeleton graph and its subset matrices."""
+    """Immutable description of a skeleton graph."""
 
     num_joints: int
     edges: tuple  # natural bone tree, (parent, child) pairs
     hub_joints: tuple = ()
     extra_links: bool = False
-    a_id: np.ndarray = field(init=False, repr=False)
-    a_in: np.ndarray = field(init=False, repr=False)
-    a_out: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         v = self.num_joints = config_int("graph.num_joints", self.num_joints, 1)
@@ -67,19 +95,17 @@ class GraphSpec:
         if len(set(self.hub_joints)) != len(self.hub_joints):
             raise ValueError("duplicate hub joints")
 
+    def subset_matrices(self) -> np.ndarray:
+        """The (3, V, V) stack: identity, inward, outward."""
+        v = self.num_joints
         b_in = np.zeros((v, v), dtype=np.float64)
         for p, c in self.edges:
             b_in[p, c] = 1.0
         if self.extra_links:
             for u, w in combinations(sorted(self.hub_joints), 2):
                 b_in[u, w] = 1.0
-        self.a_id = np.eye(v, dtype=np.float64)
-        self.a_in = normalize_columns(b_in)
-        self.a_out = normalize_columns(b_in.T)
-
-    def subset_matrices(self) -> np.ndarray:
-        """The (3, V, V) stack: identity, inward, outward."""
-        return np.stack([self.a_id, self.a_in, self.a_out])
+        return np.stack([np.eye(v, dtype=np.float64), normalize_columns(b_in),
+                         normalize_columns(b_in.T)])
 
     def parents(self) -> np.ndarray:
         """Parent index per joint from the natural tree; roots get -1."""
@@ -98,64 +124,21 @@ class GraphSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":
-        """Rebuild from ``to_dict`` output; a value of the wrong type raises
-        ConfigError, a missing key or a non-dict FormatError."""
-        try:
-            return cls(num_joints=d["num_joints"], edges=d["edges"],
-                       hub_joints=d.get("hub_joints", ()),
-                       extra_links=d.get("extra_links", False))
-        except KeyError as e:
-            raise FormatError(f"graph dict missing key {e}") from e
-        except TypeError as e:  # d is not a dict
-            raise FormatError(f"malformed graph dict: {e}") from e
+        """Rebuild from ``to_dict`` output; an unknown key or a value of the
+        wrong type raises ConfigError, a missing key or a non-dict
+        FormatError."""
+        if not isinstance(d, dict):
+            raise FormatError(f"malformed graph dict: {d!r}")
+        config_keys("graph", cls, d)
+        missing = {"num_joints", "edges"} - set(d)
+        if missing:
+            raise FormatError(f"graph dict missing keys {sorted(missing)}")
+        return cls(**d)
 
 
-def parse_edge_text(text: str) -> GraphSpec:
-    """Parse the committed edge-list format.
-
-    Lines: '#' comments, 'joints N', 'hub I', and 'P C' edge pairs. The joint
-    count is inferred from the largest index when no 'joints' line appears.
-    Hub links stay disabled until requested via with_links().
-    """
-    edges, hubs = [], []
-    num_joints = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        try:
-            if fields[0] == "joints":
-                num_joints = int(fields[1])
-            elif fields[0] == "hub":
-                hubs.append(int(fields[1]))
-            elif len(fields) == 2:
-                edges.append((int(fields[0]), int(fields[1])))
-            else:
-                raise ValueError
-        except (ValueError, IndexError):
-            raise FormatError(f"bad edge-list line {lineno}: {raw!r}") from None
-    if not edges:
-        raise FormatError("edge list defines no edges")
-    if num_joints is None:
-        num_joints = 1 + max(max(p, c) for p, c in edges)
-    return GraphSpec(num_joints=num_joints, edges=tuple(edges),
-                     hub_joints=tuple(hubs), extra_links=False)
-
-
-def load_edge_file(path) -> GraphSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_edge_text(f.read())
-
-
-def with_links(graph: GraphSpec, extra_links: bool) -> GraphSpec:
-    return GraphSpec(num_joints=graph.num_joints, edges=graph.edges,
-                     hub_joints=graph.hub_joints, extra_links=extra_links)
-
-
-def build_graph(kind: str = "ntu25", extra_links: bool = True) -> GraphSpec:
-    """Load a packaged skeleton layout; kinds: ntu25, openpose18."""
+def build_graph(kind: str = "ntu25") -> GraphSpec:
+    """A built-in skeleton with hub links on; kinds: ntu25, openpose18."""
     if kind not in BUILTIN_GRAPHS:
-        raise ValueError(f"unknown graph kind {kind!r}; choose from {BUILTIN_GRAPHS}")
-    text = resources.files("hagcn.data").joinpath(f"{kind}_edges.txt").read_text("utf-8")
-    return with_links(parse_edge_text(text), extra_links)
+        raise ValueError(f"unknown graph kind {kind!r}; choose from "
+                         f"{sorted(BUILTIN_GRAPHS)}")
+    return GraphSpec(**BUILTIN_GRAPHS[kind], extra_links=True)

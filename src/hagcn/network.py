@@ -220,8 +220,10 @@ def load_checkpoint(path):
                               f"{header.get('format_version')}")
         if not isinstance(header.get("config"), dict):
             raise FormatError("checkpoint header lacks a config object")
-        if not isinstance(header.get("epoch", 0), int):
-            raise FormatError("checkpoint epoch must be an integer")
+        epoch = header.get("epoch", 0)
+        if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+            raise FormatError(f"checkpoint epoch must be an integer of at "
+                              f"least 0, got {epoch!r}")
         try:
             model = Model(ModelConfig.from_dict(header["config"]), seed=0)
         except ValueError as e:  # ConfigError, or a graph GraphSpec rejects
@@ -247,4 +249,4 @@ def load_checkpoint(path):
                                   f"{arr.shape}, model expects "
                                   f"{targets[name].shape}")
             targets[name][...] = arr
-    return model, header.get("epoch", 0), opt_state
+    return model, epoch, opt_state

@@ -171,15 +171,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), back)
 
 
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-
-    def back(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), back)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy batch broadcasting; both operands rank >= 2."""
     a, b = as_tensor(a), as_tensor(b)

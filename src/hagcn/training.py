@@ -53,7 +53,7 @@ def cross_entropy(logits: T.Tensor, labels) -> T.Tensor:
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
     logp = T.log_softmax(logits, axis=1)
-    return T.mul(T.neg(T.tsum(T.mul(logp, T.Tensor(onehot)))), 1.0 / n)
+    return T.mul(T.tsum(T.mul(logp, T.Tensor(onehot))), -1.0 / n)
 
 
 def lr_at(epoch: int, base: float = 0.1, milestones=(60, 90),

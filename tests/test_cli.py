@@ -227,6 +227,23 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
+def test_train_rejects_misspelt_graph_key(tmp_path, capsys):
+    # "extralinks" must not train a graph with hub links quietly off
+    cache = make_cache(tmp_path, "train.hagd")
+    capsys.readouterr()
+    graph = build_graph("ntu25").to_dict()
+    graph["extralinks"] = graph.pop("extra_links")
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"model": {"graph": graph}}))
+    code = run(["train", "--train-cache", cache, "--config", str(cfg_path),
+                "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "extralinks" in err[0]
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_train_rejects_malformed_json(tmp_path, capsys):
     cache = make_cache(tmp_path, "train.hagd")
     cfg_path = tmp_path / "bad.json"

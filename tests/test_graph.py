@@ -1,9 +1,24 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hagcn.errors import ConfigError, FormatError
-from hagcn.graph import (GraphSpec, build_graph, load_edge_file, normalize_columns,
-                         parse_edge_text, with_links)
+from hagcn.graph import GraphSpec, build_graph, normalize_columns
+
+# SHA-256 of subset_matrices().tobytes() for each built-in skeleton with hub
+# links on and off; any change to a joint, edge, hub or the arithmetic moves it
+SUBSET_SHA256 = {
+    ("ntu25", True):
+        "2f16fa961328a5170b69a75ff80426698c34d23f73a83017588a492c525d8ef5",
+    ("ntu25", False):
+        "7a5cb067eb6f2928de376dd62926270d502c3e225538ebc8772c451546d44653",
+    ("openpose18", True):
+        "56947c17291bb15c779f1e80fdd21ee5e82b23b9098c447c794b2a083cc94e39",
+    ("openpose18", False):
+        "534c4eede6a100dc8c1ee57b3e91ec86436d1d3f8cbfb3f90bf20779954ba53a",
+}
 
 
 class TestNormalize:
@@ -29,8 +44,9 @@ class TestNormalize:
         # inward matrix routes the child's features into the parent row
         g = GraphSpec(num_joints=2, edges=((0, 1),))
         feats = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(g.a_in @ feats, [[3.0, 4.0], [0.0, 0.0]])
-        assert np.array_equal(g.a_out @ feats, [[0.0, 0.0], [1.0, 2.0]])
+        _, a_in, a_out = g.subset_matrices()
+        assert np.array_equal(a_in @ feats, [[3.0, 4.0], [0.0, 0.0]])
+        assert np.array_equal(a_out @ feats, [[0.0, 0.0], [1.0, 2.0]])
 
 
 class TestGraphSpec:
@@ -40,21 +56,37 @@ class TestGraphSpec:
         assert subs.shape == (3, 25, 25)
         assert np.array_equal(subs[0], np.eye(25))
 
+    @pytest.mark.parametrize("kind,links", sorted(SUBSET_SHA256))
+    def test_builtin_subset_digest(self, kind, links):
+        g = replace(build_graph(kind), extra_links=links)
+        digest = hashlib.sha256(g.subset_matrices().tobytes()).hexdigest()
+        assert digest == SUBSET_SHA256[kind, links]
+
     def test_ntu_nonzero_counts_with_links(self):
-        g = build_graph("ntu25", extra_links=True)
-        assert np.count_nonzero(g.a_in) == 24 + 10
-        assert np.count_nonzero(g.a_out) == 24 + 10
+        subs = build_graph("ntu25").subset_matrices()
+        assert np.count_nonzero(subs[1]) == 24 + 10
+        assert np.count_nonzero(subs[2]) == 24 + 10
 
     def test_ntu_nonzero_counts_without_links(self):
-        g = build_graph("ntu25", extra_links=False)
-        assert np.count_nonzero(g.a_in) == 24
-        assert np.count_nonzero(g.a_out) == 24
+        g = replace(build_graph("ntu25"), extra_links=False)
+        subs = g.subset_matrices()
+        assert np.count_nonzero(subs[1]) == 24
+        assert np.count_nonzero(subs[2]) == 24
 
     def test_openpose_nonzero_counts(self):
-        g = build_graph("openpose18", extra_links=True)
+        g = build_graph("openpose18")
         assert g.num_joints == 18
-        assert np.count_nonzero(g.a_in) == 17 + 10
-        assert np.count_nonzero(g.a_out) == 17 + 10
+        assert g.extra_links
+        subs = g.subset_matrices()
+        assert np.count_nonzero(subs[1]) == 17 + 10
+        assert np.count_nonzero(subs[2]) == 17 + 10
+
+    def test_replace_enables_hub_pairs(self):
+        g = GraphSpec(num_joints=3, edges=((0, 1), (1, 2)), hub_joints=(0, 2))
+        assert not g.extra_links
+        assert np.count_nonzero(g.subset_matrices()[1]) == 2
+        linked = replace(g, extra_links=True)
+        assert np.count_nonzero(linked.subset_matrices()[1]) == 3
 
     def test_ntu_tree_rooted_at_spine_mid(self):
         g = build_graph("ntu25")
@@ -72,8 +104,7 @@ class TestGraphSpec:
 
     def test_column_normalization_of_builtin(self):
         for kind in ("ntu25", "openpose18"):
-            g = build_graph(kind, extra_links=True)
-            for a in (g.a_in, g.a_out):
+            for a in build_graph(kind).subset_matrices()[1:]:
                 sums = a.sum(axis=0)
                 mask = sums != 0
                 assert np.allclose(sums[mask], 1.0, atol=1e-12)
@@ -82,21 +113,27 @@ class TestGraphSpec:
         # u < v puts one entry in a_in at [u, v] and one in a_out at [v, u]
         g = GraphSpec(num_joints=4, edges=((0, 1),), hub_joints=(2, 3),
                       extra_links=True)
-        assert g.a_in[2, 3] > 0 and g.a_in[3, 2] == 0
-        assert g.a_out[3, 2] > 0 and g.a_out[2, 3] == 0
+        _, a_in, a_out = g.subset_matrices()
+        assert a_in[2, 3] > 0 and a_in[3, 2] == 0
+        assert a_out[3, 2] > 0 and a_out[2, 3] == 0
 
     def test_round_trip_dict(self):
-        g = build_graph("ntu25", extra_links=True)
+        g = build_graph("ntu25")
         g2 = GraphSpec.from_dict(g.to_dict())
-        assert g2.num_joints == g.num_joints
-        assert g2.edges == g.edges
-        assert np.array_equal(g2.a_in, g.a_in)
-        assert np.array_equal(g2.a_out, g.a_out)
+        assert g2 == g
+        assert np.array_equal(g2.subset_matrices(), g.subset_matrices())
 
     def test_missing_dict_key(self):
         for d in ({"edges": []}, [1, 2], "ntu25", None):
             with pytest.raises(FormatError):
                 GraphSpec.from_dict(d)
+
+    def test_unknown_dict_key(self):
+        # a misspelt key must not silently fall back to a default
+        d = build_graph("ntu25").to_dict()
+        d["extralinks"] = d.pop("extra_links")
+        with pytest.raises(ConfigError, match="extralinks"):
+            GraphSpec.from_dict(d)
 
     @pytest.mark.parametrize("change,field", [
         ({"extra_links": "false"}, "extra_links"),
@@ -132,29 +169,6 @@ class TestGraphSpec:
         with pytest.raises(ValueError, match=msg):
             GraphSpec(num_joints=3, edges=edges)
 
-
-class TestEdgeText:
-    def test_parse_and_infer_joints(self):
-        g = parse_edge_text("0 1\n1 2\nhub 0\nhub 2\n")
-        assert g.num_joints == 3
-        assert g.hub_joints == (0, 2)
-        assert not g.extra_links
-
-    def test_with_links_enables_hub_pairs(self):
-        g = parse_edge_text("0 1\n1 2\nhub 0\nhub 2\n")
-        assert np.count_nonzero(with_links(g, True).a_in) == 3
-
-    def test_bad_line(self):
-        with pytest.raises(FormatError, match="line 2"):
-            parse_edge_text("0 1\n0 one two\n")
-
-    def test_no_edges(self):
-        with pytest.raises(FormatError, match="no edges"):
-            parse_edge_text("# empty\n")
-
-    def test_load_edge_file(self, tmp_path):
-        p = tmp_path / "toy.txt"
-        p.write_text("joints 5\n0 1\n0 2\n2 3\n2 4\n")
-        g = load_edge_file(p)
-        assert g.num_joints == 5
+    def test_parents_of_custom_tree(self):
+        g = GraphSpec(num_joints=5, edges=((0, 1), (0, 2), (2, 3), (2, 4)))
         assert g.parents().tolist() == [-1, 0, 0, 2, 2]

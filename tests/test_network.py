@@ -401,6 +401,19 @@ def test_checkpoint_rejects_malformed_header(tmp_path):
             N.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("epoch", [True, -7])
+def test_checkpoint_rejects_bad_epoch(tmp_path, epoch):
+    # a bool is an int to Python, and a negative epoch was never written
+    path = tmp_path / "m.hagc"
+    with open(path, "wb") as f:
+        f.write(N.CHECKPOINT_MAGIC)
+        write_json_block(f, {"format_version": N.CHECKPOINT_VERSION,
+                             "config": tiny_config().to_dict(),
+                             "epoch": epoch})
+    with pytest.raises(FormatError, match="epoch"):
+        N.load_checkpoint(path)
+
+
 # -- gradients --------------------------------------------------------------
 
 def test_tiny_model_grad_check():
