@@ -117,9 +117,13 @@ class SubsetAttention(Layer):
 
     def forward(self, x, disable: str = "none") -> tuple:
         mask = self.final_mask(x, disable)
-        val = T.conv2d(x, self.val_w, self.val_b)
-        # y[n,c,t,i] = sum_j mask[n,c,i,j] * val[n,c,t,j]
-        out = T.matmul(val, T.transpose(mask, (0, 1, 3, 2)))
+        recompute = []
+        val = T.conv2d(x, self.val_w, self.val_b, recompute_out=recompute)
+        # y[n,c,t,i] = sum_j mask[n,c,i,j] * val[n,c,t,j]; the mask gradient
+        # recomputes val (one 1x1 GEMM) instead of keeping N*C_out*T*V floats.
+        # The two stay separate nodes so the flows into x keep their order.
+        out = T.matmul(val, T.transpose(mask, (0, 1, 3, 2)),
+                       recompute_a=recompute[0])
         return out, mask
 
 

@@ -215,6 +215,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, epoch, _ = load_checkpoint(args.checkpoint)
     seqs = load_cache(args.cache)
+    if args.export_masks:
+        # checked before anything is scored or written
+        if not 0 <= args.mask_block < len(model.blocks):
+            raise ConfigError(
+                f"--mask-block must be in [0, {len(model.blocks)})")
+        if not 0 <= args.mask_sample < len(seqs):
+            raise ConfigError(f"--mask-sample must be in [0, {len(seqs)})")
     scores, labels = score_dataset(model, seqs, stream=args.stream,
                                    batch_size=args.batch_size,
                                    max_frames=args.max_frames,
@@ -236,8 +243,6 @@ def cmd_eval(args) -> int:
     print(f"top1 {report['top1']:.4f}  top5 {report['top5']:.4f}  "
           f"({report['count']} sequences)")
     if args.export_masks:
-        if not 0 <= args.mask_sample < len(seqs):
-            raise ConfigError(f"--mask-sample must be in [0, {len(seqs)})")
         os.makedirs(args.export_masks, exist_ok=True)
         x, _ = assemble_batch([seqs[args.mask_sample]], model.config.graph,
                               stream=args.stream, max_frames=args.max_frames)

@@ -10,11 +10,16 @@ nonlinearities, reductions, shape moves, concatenation and inverted dropout.
 leaf gradients keyed by each leaf's node (``leaf.node``); ``grad_check``
 compares analytic gradients against central differences.
 
-Graph memory follows one rule: a node never holds a Tensor or its data,
+Graph memory follows three rules. A node never holds a Tensor or its data,
 and a closure captures only the arrays and shapes that the formulas for the
 gradients actually needed read. An activation is therefore freed as soon as
 its Tensor and the last closure that reads it are gone, not when the graph
-is.
+is. One exception trades memory for arithmetic: a product given
+``recompute_a`` keeps nothing of that operand and computes it again in
+backward (the attention's value projection, rebuilt by its conv's own
+GEMM from the conv's input and weight copy). And the graph is one-shot: ``backward`` drops each
+closure once it has run, so saved arrays free as the walk proceeds, and a
+second walk over a spent graph raises RuntimeError.
 
 Flows (the gradients travelling back along graph edges) follow one in-place
 rule: ``backward`` adds a node's second and later incoming flows in place
@@ -171,8 +176,13 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), back)
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product with numpy batch broadcasting; both operands rank >= 2."""
+def matmul(a, b, recompute_a=None) -> Tensor:
+    """Matrix product with numpy batch broadcasting; both operands rank >= 2.
+
+    ``recompute_a``, a zero-argument function returning ``a``'s data bit for
+    bit, makes the product keep nothing of ``a``: b's gradient calls it
+    instead.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
@@ -180,15 +190,20 @@ def matmul(a, b) -> Tensor:
     if sa[-1] != sb[-2]:
         raise ValueError(f"matmul inner dimensions differ: {sa} @ {sb}")
     data = np.matmul(a.data, b.data)
-    ad = a.data if b.requires_grad else None
+    # a is kept (or recomputed) only for b's gradient, b only for a's
+    if not b.requires_grad:
+        recompute_a = None
+    elif recompute_a is None:
+        ad = a.data
+        recompute_a = lambda: ad
     bd = b.data if a.requires_grad else None
 
     def back(g):
         ga = gb = None
         if bd is not None:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
-        if ad is not None:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), sb)
+        if recompute_a is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(recompute_a(), -1, -2), g), sb)
         return ga, gb
 
     return _make(data, (a, b), back)
@@ -198,13 +213,16 @@ def matmul(a, b) -> Tensor:
 # convolution
 
 
-def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0, *,
+           recompute_out=None) -> Tensor:
     """Temporal convolution over (N, C, T, V) input.
 
     The kernel is (C_out, C_in, k_t, 1) and the bias (C_out,); stride,
     dilation and zero padding apply to the temporal axis. Each tap is one
     matmul of its weights with the shifted input seen as (N, C_in, T_out*V),
-    a free view for 1x1 stride-1 convs.
+    a free view for 1x1 stride-1 convs. ``recompute_out``, a list, receives
+    a zero-argument function that computes the output data again, bit for
+    bit, from this call's input, weight copy and bias snapshot.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4:
@@ -238,11 +256,20 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
         t0 = it * dilation
         return src[:, :, t0:t0 + span:stride].reshape(n, c_in, t_out * v)
 
-    data = np.matmul(wk[0], tap(xp, 0))
-    for it in range(1, k_t):
-        data += np.matmul(wk[it], tap(xp, it))
-    data = data.reshape(n, c_out, t_out, v)
-    data += b.data.reshape(1, c_out, 1, 1)
+    def run(bias):
+        out = np.matmul(wk[0], tap(xp, 0))
+        for it in range(1, k_t):
+            out += np.matmul(wk[it], tap(xp, it))
+        out = out.reshape(n, c_out, t_out, v)
+        out += bias
+        return out
+
+    bias = b.data.reshape(1, c_out, 1, 1)
+    data = run(bias)
+    if recompute_out is not None:
+        # a copy: an in-place parameter update must not change the replay
+        bias = bias.copy()
+        recompute_out.append(lambda: run(bias))
     # the (padded) input is saved only for dW, the weights only for dx
     xs = xp if w.requires_grad else None
     ws = wk if x.requires_grad else None
@@ -573,13 +600,21 @@ def _topo(root: Node):
     return order
 
 
+def _spent(g):
+    raise RuntimeError("this graph was already walked by backward; "
+                       "run the forward pass again")
+
+
 def backward(loss: Tensor) -> dict:
     """Backpropagate from a scalar loss; returns {leaf.node: gradient}.
 
     Nothing is stored on the tensors, so shards can share parameters
     race-free. The graph holds only what backward formulas read, and
     interior nodes only relay flow, which keeps peak memory at the live
-    frontier instead of the whole graph.
+    frontier instead of the whole graph. A graph is spent after one walk:
+    each interior closure is dropped once its turn has come, and a second
+    ``backward`` over any spent node raises RuntimeError before running
+    anything. Leaves are never spent, so parameters serve every graph.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -588,18 +623,24 @@ def backward(loss: Tensor) -> dict:
     if loss.node is None:
         return {}
     order = _topo(loss.node)
+    if any(node.backward is _spent for node in order):
+        _spent(None)
     flows = {loss.node: np.ones_like(loss.data)}
     owned = set()  # nodes whose flow is a sum this walk allocated
     grads = {}
     for node in reversed(order):
         g = flows.pop(node, None)
         owned.discard(node)
+        fn = node.backward
+        if fn is None:  # a leaf
+            if g is not None:
+                grads[node] = g
+            continue
+        # drop the closure, and the arrays it saved, once it has run
+        node.backward = _spent
         if g is None:
             continue
-        if node.backward is None:  # a leaf
-            grads[node] = g
-            continue
-        for parent, pg in zip(node.parents, node.backward(g)):
+        for parent, pg in zip(node.parents, fn(g)):
             if pg is None or parent is None:
                 continue
             if parent not in flows:

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ import brute
 from hagcn import tensor as T
 from hagcn.attention import (BranchCompression, HybridSpatialAttention,
                              SubsetAttention, inter_channels, ra_mask, rd_mask)
-from hagcn.graph import GraphSpec
-from hagcn.tensor import Tensor, grad_check
+from hagcn.graph import GraphSpec, build_graph
+from hagcn.tensor import Tensor, backward, grad_check
 
 
 def toy_graph(v=5):
@@ -186,6 +188,66 @@ class TestLayerApi:
         err_a = grad_check(
             lambda t: _with_alpha(layer, t, Tensor(xdata)), alpha)
         assert err_a < 1e-6
+
+
+# width -> (C_in, C_out, T) of a subset unit on the 25-joint skeleton
+UNIT_WIDTHS = {"desk": (8, 8, 16), "ntu": (64, 64, 64)}
+
+
+def skeleton_unit(width, seed=0):
+    c_in, c_out, t = UNIT_WIDTHS[width]
+    a = build_graph("ntu25").subset_matrices()[1]
+    sub = SubsetAttention(c_in, c_out, a, np.random.default_rng(seed))
+    brute.randomize_layer(sub, np.random.default_rng(seed + 100))
+    x = np.random.default_rng(seed + 200).standard_normal((2, c_in, t, 25))
+    return sub, x
+
+
+class TestValueRecompute:
+    """The aggregation recomputes the value projection for the mask
+    gradient instead of keeping it."""
+
+    @pytest.mark.parametrize("width", sorted(UNIT_WIDTHS))
+    def test_projection_dies_before_backward(self, width, monkeypatch):
+        sub, xdata = skeleton_unit(width)
+        refs = []
+        conv2d = T.conv2d
+
+        def spy(x, w, b, *args, **kw):
+            out = conv2d(x, w, b, *args, **kw)
+            if w is sub.val_w:
+                refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        out, _ = sub.forward(Tensor(xdata, requires_grad=True))
+        monkeypatch.undo()
+        loss = T.tsum(out)
+        assert len(refs) == 1
+        assert refs[0]() is None and loss.node is not None
+        assert backward(loss)
+
+    @pytest.mark.parametrize("width", sorted(UNIT_WIDTHS))
+    def test_gradients_match_plain_product(self, width):
+        sub, xdata = skeleton_unit(width, seed=3)
+
+        def plain(x):
+            mask = sub.final_mask(x)
+            val = T.conv2d(x, sub.val_w, sub.val_b)
+            return T.matmul(val, T.transpose(mask, (0, 1, 3, 2)))
+
+        def grads(forward):
+            x = Tensor(xdata, requires_grad=True)
+            out = forward(x)
+            c = np.random.default_rng(4).standard_normal(out.data.shape)
+            g = backward(T.tsum(T.mul(out, c)))
+            return [g[x.node]] + [g[p.node] for _, p in sub.named_params()]
+
+        got = grads(lambda x: sub.forward(x)[0])
+        want = grads(plain)
+        assert len(got) == 1 + len(list(sub.named_params())) == 14
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _with_alpha(layer, alpha, x):

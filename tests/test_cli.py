@@ -364,6 +364,19 @@ def test_eval_mask_sample_bounds(trained, capsys):
     assert "mask-sample" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--mask-block", "2"),
+                                        ("--mask-block", "-1"),
+                                        ("--mask-sample", "6")])
+def test_eval_checks_mask_flags_before_writing(trained, tmp_path, capsys,
+                                               flag, value):
+    report, masks = tmp_path / "r.json", tmp_path / "masks"
+    assert run(["eval", "--checkpoint", trained["ckpt"], "--cache",
+                trained["val"], "--out", str(report), "--max-frames", "12",
+                "--export-masks", str(masks), flag, value]) == 1
+    assert flag in capsys.readouterr().err
+    assert not report.exists() and not masks.exists()
+
+
 def test_fuse_two_streams(trained, capsys):
     joint = str(trained["dir"] / "joint.json")
     bone = str(trained["dir"] / "bone.json")

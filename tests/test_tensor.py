@@ -181,6 +181,26 @@ class TestBackward:
         out = T.add(a, b)
         assert out.node is None and not out.requires_grad
 
+    def test_graph_is_spent_after_one_walk(self):
+        x = randt((3, 4), seed=3)
+        h = T.tanh(x)
+        loss = T.tsum(T.mul(h, x))
+        grads = backward(loss)
+        first = {k: np.array(v) for k, v in grads.items()}
+        with pytest.raises(RuntimeError, match="already walked"):
+            backward(loss)
+        assert grads.keys() == first.keys()
+        assert all(same_bits(grads[k], first[k]) for k in first)
+        # a second loss over the spent part raises before running anything
+        other = T.tsum(T.mul(h, 2.0))
+        with pytest.raises(RuntimeError, match="already walked"):
+            backward(other)
+        assert other.node.backward not in (None, T._spent)
+        # leaves are never spent: a fresh forward over them walks again
+        assert x.node.backward is None
+        again = backward(T.tsum(T.mul(T.tanh(x), x)))
+        assert same_bits(again[x.node], first[x.node])
+
     def test_grad_map_collection(self):
         x = Tensor(np.array([3.0]), requires_grad=True)
         grads = backward(T.tsum(T.mul(x, x)))

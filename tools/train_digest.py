@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 digest of desk-scale training state after K epochs.
+"""Print a SHA-256 digest of training state after K epochs.
 
-Trains the desk stack (channels 8, 8, 16, 16; strides 1, 1, 2, 1; no
-dropout) on ``synthetic_split(50, 20)`` with lr 0.05, then hashes every
-parameter, buffer and SGD velocity array by name. ``--stream`` picks the
-input stream (default ``joint``); only the derived streams run the bone and
-motion transforms. Two checkouts whose arithmetic is bit-identical print the
-same digest:
+``--model desk`` (the default) trains the desk stack (channels 8, 8, 16,
+16; strides 1, 1, 2, 1) on 50 synthetic 64-frame sequences per class in
+batches of 16. ``--model wide`` trains channels 64, 64, 128 with strides 1,
+1, 2 on 2 synthetic 32-frame sequences per class in batches of 8, so the
+GEMMs have the NTU model's widths, whose bits can move where the desk
+widths' do not. Both run with lr 0.05 and no dropout; the tool then hashes
+every parameter, buffer and SGD velocity array by name. ``--stream`` picks
+the input stream (default ``joint``); only the derived streams run the bone
+and motion transforms. Two checkouts whose arithmetic is bit-identical
+print the same digest:
 
     python3 tools/train_digest.py --epochs 3
+    python3 tools/train_digest.py --epochs 3 --model wide
     python3 tools/train_digest.py --epochs 3 --src ../other-checkout/src
 
 With ``--against REV`` the tool exports ``src/`` of git revision REV to a
@@ -19,6 +24,7 @@ processes with the same arguments, prints both and exits 1 if they differ
     python3 tools/train_digest.py --epochs 3 --against HEAD~1
     python3 tools/train_digest.py --epochs 3 --threads 2 --micro-batch 4 --against HEAD~1
     python3 tools/train_digest.py --epochs 3 --stream bone_motion --against HEAD~1
+    python3 tools/train_digest.py --epochs 3 --model wide --against HEAD~1
 
 BLAS is pinned to one thread so that only the shard threads vary. Each
 digest line ends with the peak resident set size of the process that trained
@@ -40,6 +46,12 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# model -> (channels, strides, train sequences per class, frames, batch size)
+MODELS = {
+    "desk": ((8, 8, 16, 16), (1, 1, 2, 1), 50, 64, 16),
+    "wide": ((64, 64, 128), (1, 1, 2), 2, 32, 8),
+}
+
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -48,6 +60,8 @@ def parse_args(argv=None):
                    help="shard worker threads")
     p.add_argument("--micro-batch", type=int, default=0,
                    help="shard size (0 = whole batch)")
+    p.add_argument("--model", default="desk", choices=sorted(MODELS),
+                   help="stack to train (wide has NTU GEMM widths)")
     p.add_argument("--stream", default="joint",
                    choices=("joint", "bone", "joint_motion", "bone_motion"),
                    help="input stream to train on")
@@ -65,8 +79,8 @@ def compare(args) -> int:
                               "src"], check=True, stdout=subprocess.PIPE).stdout
     base = [sys.executable, os.path.abspath(__file__), "--epochs",
             str(args.epochs), "--threads", str(args.threads),
-            "--micro-batch", str(args.micro_batch), "--stream", args.stream,
-            "--src"]
+            "--micro-batch", str(args.micro_batch), "--model", args.model,
+            "--stream", args.stream, "--src"]
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
@@ -104,19 +118,19 @@ def main(argv=None) -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from hagcn.graph import build_graph
     from hagcn.network import Model, ModelConfig
-    from hagcn.training import TrainConfig, synthetic_split, train
+    from hagcn.training import TrainConfig, make_synthetic, train
 
-    train_seqs, _ = synthetic_split(50, 20, frames=64, seed=0)
+    channels, strides, per_class, frames, batch_size = MODELS[args.model]
+    train_seqs = make_synthetic(per_class, frames=frames, seed=0)
     cfg = ModelConfig(num_classes=8, graph=build_graph("ntu25"),
-                      channels=(8, 8, 16, 16), strides=(1, 1, 2, 1),
-                      dropout=0.0)
+                      channels=channels, strides=strides, dropout=0.0)
     model = Model(cfg, seed=0)
-    tcfg = TrainConfig(epochs=args.epochs, batch_size=16, lr=0.05,
+    tcfg = TrainConfig(epochs=args.epochs, batch_size=batch_size, lr=0.05,
                        milestones=(10,), seed=0, stream=args.stream,
                        max_frames=64, micro_batch=args.micro_batch)
     history, opt = train(model, train_seqs, None, tcfg, threads=args.threads)
-    print(f"epochs {args.epochs}  threads {args.threads}  micro_batch "
-          f"{args.micro_batch}  stream {args.stream}  "
+    print(f"model {args.model}  epochs {args.epochs}  threads {args.threads}  "
+          f"micro_batch {args.micro_batch}  stream {args.stream}  "
           f"final loss {history[-1]['train_loss']!r}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"{digest(model, opt)}  peak_rss_mb {peak_mb:.1f}")
