@@ -55,11 +55,8 @@ def rd_mask(f: Tensor) -> Tensor:
 
     a[n, c, i, j] = tanh(mean_t f[n,c,t,i] - mean_t f[n,c,t,j]).
     """
-    n, c, _, v = f.data.shape
-    fbar = T.tmean(f, axes=2)  # (N, C, V)
-    fi = T.reshape(fbar, (n, c, v, 1))
-    fj = T.reshape(fbar, (n, c, 1, v))
-    return T.tanh(T.sub(fi, fj))
+    fj = T.tmean(f, axes=2, keepdims=True)  # (N, C, 1, V)
+    return T.tanh(T.sub(T.transpose(fj, (0, 1, 3, 2)), fj))
 
 
 def ra_mask(f: Tensor) -> Tensor:
@@ -117,13 +114,14 @@ class SubsetAttention(Layer):
 
     def forward(self, x, disable: str = "none") -> tuple:
         mask = self.final_mask(x, disable)
-        recompute = []
-        val = T.conv2d(x, self.val_w, self.val_b, recompute_out=recompute)
+        val = T.conv2d(x, self.val_w, self.val_b)
         # y[n,c,t,i] = sum_j mask[n,c,i,j] * val[n,c,t,j]; the mask gradient
-        # recomputes val (one 1x1 GEMM) instead of keeping N*C_out*T*V floats.
-        # The two stay separate nodes so the flows into x keep their order.
+        # replays the conv on plain arrays (no graph node, the same bits)
+        # instead of keeping N*C_out*T*V floats. The two stay separate nodes
+        # so the flows into x keep their order.
+        xd, wd, bd = x.data, self.val_w.data, self.val_b.data
         out = T.matmul(val, T.transpose(mask, (0, 1, 3, 2)),
-                       recompute_a=recompute[0])
+                       recompute_a=lambda: T.conv2d(xd, wd, bd).data)
         return out, mask
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 bad input or configuration, 2 runtime failure.
 Errors print a single ``error: ...`` line on stderr. Worker threads for
-gradient shards come from the ``HAGCN_THREADS`` environment variable; with
-more than one, ``train`` runs OpenBLAS single-threaded. On glibc, ``main``
+gradient shards come from the ``HAGCN_THREADS`` environment variable;
+``train`` runs OpenBLAS on one thread at every ``HAGCN_THREADS``, so the
+trained bits do not depend on it or on the core count. On glibc, ``main``
 first sets the allocator to keep freed memory in the process (see
 ``keep_heap``).
 """
@@ -111,10 +112,11 @@ def _openblas_thread_fns():
 
 
 @contextlib.contextmanager
-def _single_thread_blas(active: bool):
-    """Run OpenBLAS on one thread while shard threads do the parallel work;
-    two shard threads each starting BLAS threads oversubscribe the cores."""
-    fns = _openblas_thread_fns() if active else None
+def _single_thread_blas():
+    """Run OpenBLAS on one thread, then restore its count. A GEMM's bits
+    depend on its BLAS thread count at NTU widths, and shard threads that
+    each start BLAS threads would oversubscribe the cores."""
+    fns = _openblas_thread_fns()
     if fns is None:
         yield
         return
@@ -201,7 +203,7 @@ def cmd_train(args) -> int:
               f"loss {row['train_loss']:.4f}  "
               f"train {row['train_acc']:.3f}  val {row['val_acc']:.3f}")
 
-    with _single_thread_blas(threads > 1):
+    with _single_thread_blas():
         history, opt = train(model, train_seqs, val_seqs=val_seqs,
                              config=train_cfg, threads=threads,
                              callback=report)

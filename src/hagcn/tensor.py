@@ -15,11 +15,14 @@ and a closure captures only the arrays and shapes that the formulas for the
 gradients actually needed read. An activation is therefore freed as soon as
 its Tensor and the last closure that reads it are gone, not when the graph
 is. One exception trades memory for arithmetic: a product given
-``recompute_a`` keeps nothing of that operand and computes it again in
-backward (the attention's value projection, rebuilt by its conv's own
-GEMM from the conv's input and weight copy). And the graph is one-shot: ``backward`` drops each
-closure once it has run, so saved arrays free as the walk proceeds, and a
-second walk over a spent graph raises RuntimeError.
+``recompute_a`` keeps nothing of that operand and calls the function again
+in backward (the attention's value projection, replayed through ``conv2d``
+on the arrays its forward read). And the graph is one-shot: ``backward``
+drops each closure once it has run, so saved arrays free as the walk
+proceeds, and a second walk over a spent graph raises RuntimeError.
+
+Closures read parameter arrays live, never copies, so a parameter must not
+change between a forward pass and its backward.
 
 Flows (the gradients travelling back along graph edges) follow one in-place
 rule: ``backward`` adds a node's second and later incoming flows in place
@@ -213,16 +216,13 @@ def matmul(a, b, recompute_a=None) -> Tensor:
 # convolution
 
 
-def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0, *,
-           recompute_out=None) -> Tensor:
+def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
     """Temporal convolution over (N, C, T, V) input.
 
     The kernel is (C_out, C_in, k_t, 1) and the bias (C_out,); stride,
     dilation and zero padding apply to the temporal axis. Each tap is one
     matmul of its weights with the shifted input seen as (N, C_in, T_out*V),
-    a free view for 1x1 stride-1 convs. ``recompute_out``, a list, receives
-    a zero-argument function that computes the output data again, bit for
-    bit, from this call's input, weight copy and bias snapshot.
+    a free view for 1x1 stride-1 convs.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4:
@@ -256,20 +256,11 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0, *,
         t0 = it * dilation
         return src[:, :, t0:t0 + span:stride].reshape(n, c_in, t_out * v)
 
-    def run(bias):
-        out = np.matmul(wk[0], tap(xp, 0))
-        for it in range(1, k_t):
-            out += np.matmul(wk[it], tap(xp, it))
-        out = out.reshape(n, c_out, t_out, v)
-        out += bias
-        return out
-
-    bias = b.data.reshape(1, c_out, 1, 1)
-    data = run(bias)
-    if recompute_out is not None:
-        # a copy: an in-place parameter update must not change the replay
-        bias = bias.copy()
-        recompute_out.append(lambda: run(bias))
+    data = np.matmul(wk[0], tap(xp, 0))
+    for it in range(1, k_t):
+        data += np.matmul(wk[it], tap(xp, it))
+    data = data.reshape(n, c_out, t_out, v)
+    data += b.data.reshape(1, c_out, 1, 1)
     # the (padded) input is saved only for dW, the weights only for dx
     xs = xp if w.requires_grad else None
     ws = wk if x.requires_grad else None

@@ -279,6 +279,9 @@ def make_synthetic(per_class: int, frames: int = 64, seed: int = 0,
     """
     if not 1 <= classes <= NUM_TEMPLATES:
         raise ValueError(f"classes must be in [1, {NUM_TEMPLATES}]")
+    for name, value in (("per_class", per_class), ("frames", frames)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     rng = np.random.default_rng(seed)
     seqs = []
     for label in range(classes):

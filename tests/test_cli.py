@@ -81,6 +81,17 @@ def test_prepare_needs_exactly_one_source(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--per-class", "0"), ("--per-class", "-1"), ("--frames", "0")])
+def test_prepare_rejects_empty_synthetic_draw(tmp_path, capsys, flag, value):
+    out = tmp_path / "c.hagd"
+    assert run(["prepare", "--synthetic", "--out", str(out),
+                flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
 def test_prepare_from_manifest(tmp_path, capsys):
     manifest = tmp_path / "files.txt"
     skeleton = os.path.join(FIXTURES, "sample.skeleton")
@@ -502,18 +513,19 @@ print(json.dumps(seen))
 """
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_train_pins_blas_under_shard_threads(tmp_path, threads):
-    cache = make_cache(tmp_path, "train.hagd")
+def probe_train(tmp_path, cache, config, threads, out):
+    """`hagcn train` in a child under BLAS_PROBE, with HAGCN_THREADS set and
+    the BLAS thread variables unset; skips where OpenBLAS is absent or
+    starts with one thread."""
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    cfg_path.write_text(json.dumps(config))
     env = src_env({k: v for k, v in os.environ.items() if k not in
                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                     "MKL_NUM_THREADS")})
     env["HAGCN_THREADS"] = threads
     proc = subprocess.run(
         [sys.executable, "-c", BLAS_PROBE, "train", "--train-cache", cache,
-         "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+         "--config", str(cfg_path), "--out", out],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -522,9 +534,38 @@ def test_train_pins_blas_under_shard_threads(tmp_path, threads):
     if seen["before"] == 1:
         pytest.skip("OpenBLAS starts with one thread on this host")
     assert seen["code"] == 0
-    # pinned to one thread only while shard threads train, then restored
-    assert seen["during"] == (1 if threads == "2" else seen["before"])
+    return seen
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_train_pins_blas_under_shard_threads(tmp_path, threads):
+    cache = make_cache(tmp_path, "train.hagd")
+    seen = probe_train(tmp_path, cache, TINY_CONFIG, threads,
+                       str(tmp_path / "run"))
+    # one BLAS thread while training at every HAGCN_THREADS, then restored
+    assert seen["during"] == 1
     assert seen["after"] == seen["before"]
+
+
+def test_train_bits_ignore_shard_thread_count(tmp_path):
+    # At width 64 a GEMM's bits depend on the BLAS thread count, so this
+    # fails if `train` leaves BLAS at its default for some HAGCN_THREADS.
+    # Where OpenBLAS starts with one thread (one core) it cannot fail, and
+    # it skips.
+    cache = make_cache(tmp_path, "train.hagd", per_class=1, classes=8,
+                       frames=32)
+    config = {
+        "model": {"num_classes": 8, "channels": [64, 64, 128],
+                  "strides": [1, 1, 2], "dropout": 0.0},
+        "train": {"epochs": 1, "batch_size": 8, "lr": 0.05, "seed": 3,
+                  "max_frames": 32},
+    }
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"run{threads}"
+        probe_train(tmp_path, cache, config, threads, str(out))
+        blobs.append((out / "model.hagc").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 # What the wrapper script that pip and setuptools write for an entry

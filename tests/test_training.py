@@ -302,6 +302,13 @@ def test_make_synthetic_class_range():
         tr.make_synthetic(1, classes=9)
 
 
+@pytest.mark.parametrize("per_class, frames, name", [
+    (0, 16, "per_class"), (-1, 16, "per_class"), (2, 0, "frames")])
+def test_make_synthetic_rejects_empty_draws(per_class, frames, name):
+    with pytest.raises(ValueError, match=name):
+        tr.make_synthetic(per_class, frames=frames)
+
+
 # -- train config -----------------------------------------------------------
 
 def test_train_config_round_trip():
