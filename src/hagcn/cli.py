@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 bad input or configuration, 2 runtime failure.
 Errors print a single ``error: ...`` line on stderr. Worker threads for
-gradient shards come from the ``HAGCN_THREADS`` environment variable;
-``train`` runs OpenBLAS on one thread at every ``HAGCN_THREADS``, so the
-trained bits do not depend on it or on the core count. On glibc, ``main``
-first sets the allocator to keep freed memory in the process (see
-``keep_heap``).
+gradient shards come from the ``HAGCN_THREADS`` environment variable. Every
+verb runs OpenBLAS on one thread at every ``HAGCN_THREADS``, so trained bits
+and scores do not depend on it or on the core count, and ``eval`` and
+``ablate`` score a model as training validated it. ``main`` first sets the
+allocator to keep freed memory in the process and numpy to ask for no huge
+pages (see ``keep_heap``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import json
 import os
 import sys
@@ -67,9 +69,19 @@ def keep_heap() -> None:
     again. Arrays up to 32 MiB (glibc's ceiling) now come from the heap, and
     up to 1 GiB of free heap is kept. Both are needed: a high trim threshold
     alone pins the mmap threshold at 128 KiB. Results do not change. Not on
-    glibc this does nothing; the library never calls it, so programs that
-    import hagcn keep their own allocator settings.
+    glibc the allocator is left alone; the library never calls this, so
+    programs that import hagcn keep their own allocator settings.
+
+    numpy also stops advising transparent huge pages for its arrays, as
+    ``NUMPY_MADVISE_HUGEPAGE=0`` would at import. With that advice a kept
+    heap array is backed by whole 2 MiB pages wherever its range covers
+    one, so peak RSS followed the address-space layout the kernel drew: on
+    2 vCPUs, desk_eval's moved between 150 and 179 MB from run to run.
     """
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed core
+    set_advice = getattr(core.multiarray, "_set_madvise_hugepage", None)
+    if set_advice is not None:
+        set_advice(False)
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return
@@ -82,6 +94,7 @@ def keep_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
+@functools.cache
 def _openblas_thread_fns():
     """(get, set) thread-count functions of the OpenBLAS in this process.
 
@@ -169,9 +182,11 @@ def cmd_train(args) -> int:
         raise ConfigError("config sections must be JSON objects")
 
     train_seqs = load_cache(args.train_cache)
-    if not train_seqs:
-        raise ConfigError(f"{args.train_cache}: cache holds no sequences")
-    val_seqs = load_cache(args.val_cache) if args.val_cache else None
+    val_seqs = load_cache(args.val_cache) if args.val_cache else []
+    for path, seqs in ((args.train_cache, train_seqs),
+                       (args.val_cache, val_seqs)):
+        if path and not seqs:
+            raise ConfigError(f"{path}: cache holds no sequences")
 
     model_d = dict(file_cfg.get("model", {}))
     if "num_classes" not in model_d:
@@ -183,11 +198,17 @@ def cmd_train(args) -> int:
     train_cfg = TrainConfig.from_dict(
         _merge_train_overrides(dict(file_cfg.get("train", {})), args))
 
-    bad = [s.label for s in train_seqs + (val_seqs or [])
+    bad = [s.label for s in train_seqs + val_seqs
            if not 0 <= s.label < model_cfg.num_classes]
     if bad:
         raise ConfigError(f"cache labels outside [0, "
                           f"{model_cfg.num_classes}): {sorted(set(bad))[:5]}")
+    takes = (model_cfg.graph.num_joints, model_cfg.in_channels)
+    for s in train_seqs + val_seqs:
+        if s.coords.shape[2:] != takes:
+            raise ConfigError(f"{s.source_id}: {s.coords.shape[2]} joints and "
+                              f"{s.coords.shape[3]} channels; the model takes "
+                              f"{takes[0]} and {takes[1]}")
 
     # build the model before touching --out: a failed build leaves nothing
     threads = thread_count()
@@ -203,10 +224,8 @@ def cmd_train(args) -> int:
               f"loss {row['train_loss']:.4f}  "
               f"train {row['train_acc']:.3f}  val {row['val_acc']:.3f}")
 
-    with _single_thread_blas():
-        history, opt = train(model, train_seqs, val_seqs=val_seqs,
-                             config=train_cfg, threads=threads,
-                             callback=report)
+    history, opt = train(model, train_seqs, val_seqs=val_seqs,
+                         config=train_cfg, threads=threads, callback=report)
     write_history(os.path.join(args.out, "history.csv"), history)
     save_checkpoint(os.path.join(args.out, "model.hagc"), model,
                     epoch=train_cfg.epochs, optimizer=opt)
@@ -349,14 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="score a cache with a checkpoint")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--out", required=True, help="report JSON to write")
-    p.add_argument("--stream", choices=STREAMS, default="joint")
+    # eval and ablate score alike, so ablate's intact row is eval's report
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--checkpoint", required=True)
+    scoring.add_argument("--cache", required=True)
+    scoring.add_argument("--out", required=True, help="report JSON to write")
+    scoring.add_argument("--stream", choices=STREAMS, default="joint")
+    scoring.add_argument("--batch-size", type=int, default=32)
+    scoring.add_argument("--max-frames", type=int, default=300)
+
+    p = sub.add_parser("eval", parents=[scoring],
+                       help="score a cache with a checkpoint")
     p.add_argument("--disable", choices=DISABLE_CHOICES, default="none")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-frames", type=int, default=300)
     p.add_argument("--export-masks", metavar="DIR",
                    help="also write attention masks for one sequence")
     p.add_argument("--mask-block", type=int, default=0)
@@ -369,13 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse)
 
-    p = sub.add_parser("ablate", help="knock out attention branches")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--cache", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stream", choices=STREAMS, default="joint")
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--max-frames", type=int, default=300)
+    p = sub.add_parser("ablate", parents=[scoring],
+                       help="knock out attention branches")
     p.set_defaults(func=cmd_ablate)
     return parser
 
@@ -388,7 +406,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 1
     try:
-        return args.func(args)
+        with _single_thread_blas():
+            return args.func(args)
     except (ConfigError, FormatError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ import os
 import numpy as np
 
 from . import tensor as T
+from .attention import DISABLE_CHOICES
 from .errors import FormatError
 from .ingest import assemble_batch
 from .network import Model
@@ -56,7 +57,7 @@ def improvement_ratio(acc: float, acc_base: float, ref: float,
 
 def score_dataset(model: Model, seqs, stream: str = "joint",
                   batch_size: int = 32, max_frames: int = 300,
-                  max_persons: int = 2, disable: str = "none"):
+                  disable: str = "none"):
     """Eval-mode class probabilities for every sequence, in input order."""
     if not seqs:
         raise ValueError("no sequences to score")
@@ -68,7 +69,7 @@ def score_dataset(model: Model, seqs, stream: str = "joint",
     for start in range(0, len(seqs), batch_size):
         chunk = seqs[start:start + batch_size]
         x, y = assemble_batch(chunk, graph, stream=stream,
-                              max_frames=max_frames, max_persons=max_persons)
+                              max_frames=max_frames)
         with T.no_grad():
             probs = model.forward(x, training=False, disable=disable)
         chunks.append(probs.data)
@@ -98,30 +99,23 @@ def fuse_scores(score_list, weights=None) -> np.ndarray:
 
 
 def ablation_report(model: Model, seqs, stream: str = "joint",
-                    batch_size: int = 32, max_frames: int = 300,
-                    max_persons: int = 2) -> dict:
+                    batch_size: int = 32, max_frames: int = 300) -> dict:
     """Score with each attention branch knocked out at inference time.
 
     Reports top-1 per mode plus, for each knockout, how many predictions
     flipped relative to the intact model.
     """
     report = {}
-    base_scores, labels = score_dataset(model, seqs, stream=stream,
-                                        batch_size=batch_size,
-                                        max_frames=max_frames,
-                                        max_persons=max_persons)
-    base_pred = predictions(base_scores)
-    report["none"] = {"top1": topk_accuracy(base_scores, labels)}
-    for mode in ("rd", "ra"):
-        scores, _ = score_dataset(model, seqs, stream=stream,
-                                  batch_size=batch_size,
-                                  max_frames=max_frames,
-                                  max_persons=max_persons, disable=mode)
+    for mode in DISABLE_CHOICES:  # "none" first: the knockouts compare to it
+        scores, labels = score_dataset(model, seqs, stream=stream,
+                                       batch_size=batch_size,
+                                       max_frames=max_frames, disable=mode)
         pred = predictions(scores)
-        report[mode] = {
-            "top1": topk_accuracy(scores, labels),
-            "flipped": int((pred != base_pred).sum()),
-        }
+        report[mode] = {"top1": topk_accuracy(scores, labels)}
+        if mode == "none":
+            intact = pred
+        else:
+            report[mode]["flipped"] = int((pred != intact).sum())
     return report
 
 

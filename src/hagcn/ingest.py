@@ -23,6 +23,7 @@ from .serialize import _read_exact
 
 CACHE_MAGIC = b"HAGD"
 STREAMS = ("joint", "bone", "joint_motion", "bone_motion")
+MAX_PERSONS = 2  # persons per frame: what the parsers keep and batches hold
 
 
 @dataclass
@@ -94,7 +95,7 @@ def parse_ntu_skeleton(text: str, source_id: str = "",
         num_bodies = next_int(f"body count for frame {f}")
         if num_bodies < 0:
             raise FormatError(f"negative body count in frame {f}")
-        if num_bodies > 2:
+        if num_bodies > MAX_PERSONS:
             raise FormatError(f"too many bodies in frame {f}: {num_bodies}")
         bodies = []
         for b in range(num_bodies):
@@ -171,7 +172,7 @@ def parse_openpose_json(text: str, source_id: str = "",
                                   f"range") from None
             people.append(joints)
         people.sort(key=lambda j: -float(j[:, 2].mean()))
-        frames.append(people[:2])
+        frames.append(people[:MAX_PERSONS])
     return SkeletonSequence(_stack_people(frames, 18), label=label,
                             source_id=source_id)
 
@@ -245,12 +246,13 @@ def augment_sequence(seq: SkeletonSequence, rng: np.random.Generator,
 
 
 def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
-                   max_frames: int = 300, max_persons: int = 2,
-                   augment: str = "none", rng: np.random.Generator = None):
+                   max_frames: int = 300, augment: str = "none",
+                   rng: np.random.Generator = None):
     """Stack sequences into a (N, M, C, T, V) array plus a label vector.
 
     A sequence's frames loop-repeat to fill max_frames (and truncate beyond
-    it); missing persons, and a sequence with no frames, stay zero.
+    it); persons beyond ``MAX_PERSONS`` are dropped, and missing persons and
+    a sequence with no frames stay zero.
     Augmentation (kind 'rotate_shift') runs on the raw joints before stream
     derivation so derived streams inherit it. With augment='none' the result
     is a pure deterministic function of the inputs.
@@ -262,12 +264,16 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
     if augment != "none" and rng is None:
         raise ValueError("augmentation needs an rng")
     channels = seqs[0].coords.shape[3]
-    batch = np.zeros((len(seqs), max_persons, channels, max_frames,
+    batch = np.zeros((len(seqs), MAX_PERSONS, channels, max_frames,
                       graph.num_joints), dtype=np.float64)
     labels = np.empty(len(seqs), dtype=np.int64)
     for n, seq in enumerate(seqs):
         if seq.coords.shape[3] != channels:
             raise ValueError("mixed channel counts in one batch")
+        if seq.coords.shape[2] != graph.num_joints:
+            raise ValueError(f"{seq.source_id or 'sequence'} has "
+                             f"{seq.coords.shape[2]} joints, the graph "
+                             f"{graph.num_joints}")
         labels[n] = seq.label
         if augment == "rotate_shift":
             seq = augment_sequence(seq, rng)
@@ -275,7 +281,7 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
         frames = seq.coords.shape[1]
         if frames == 0:
             continue
-        m = min(seq.coords.shape[0], max_persons)
+        m = min(seq.coords.shape[0], MAX_PERSONS)
         idx = np.arange(max_frames) % frames
         # (M, T, V, C) gathered over frames -> (M, C, T, V)
         batch[n, :m] = seq.coords[:m, idx].transpose(0, 3, 1, 2)

@@ -320,12 +320,10 @@ class TrainConfig:
     stream: str = "joint"
     augment: str = "none"
     max_frames: int = 300
-    max_persons: int = 2
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("micro_batch", 0),
-                          ("seed", None), ("max_frames", 1),
-                          ("max_persons", 1)):
+                          ("seed", None), ("max_frames", 1)):
             setattr(self, name, config_int(name, getattr(self, name), low))
         self.milestones = config_ints("milestones", self.milestones)
         for name in ("lr", "momentum", "weight_decay", "lr_factor"):
@@ -393,7 +391,6 @@ def train(model: Model, train_seqs, val_seqs=None,
             chunk = [train_seqs[i] for i in idx]
             x, labels = assemble_batch(chunk, graph, stream=cfg.stream,
                                        max_frames=cfg.max_frames,
-                                       max_persons=cfg.max_persons,
                                        augment=cfg.augment, rng=rng)
             shards = shard_batch(x, labels, cfg.micro_batch)
             loss, logits, grads = accumulate_gradients(model, shards, rng,
@@ -408,7 +405,7 @@ def train(model: Model, train_seqs, val_seqs=None,
         if val_seqs:
             scores, val_labels = score_dataset(
                 model, val_seqs, stream=cfg.stream, batch_size=64,
-                max_frames=cfg.max_frames, max_persons=cfg.max_persons)
+                max_frames=cfg.max_frames)
             val_acc = topk_accuracy(scores, val_labels, 1)
         row = {
             "epoch": epoch,

@@ -13,7 +13,8 @@ import pytest
 from hagcn import cli
 from hagcn.evaluation import capture_masks, read_mask_csv, read_pgm
 from hagcn.graph import build_graph
-from hagcn.ingest import assemble_batch, load_cache, save_cache
+from hagcn.ingest import (SkeletonSequence, assemble_batch, load_cache,
+                          save_cache)
 from hagcn.network import load_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -276,6 +277,51 @@ def test_train_rejects_labels_beyond_classes(tmp_path, capsys):
         assert "labels outside" in capsys.readouterr().err
 
 
+def test_train_refuses_an_empty_cache(tmp_path, capsys):
+    cache = make_cache(tmp_path, "train.hagd")
+    empty = str(tmp_path / "empty.hagd")
+    save_cache(empty, [])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    # nothing to train on, then nothing to validate on (no `val nan` run)
+    for train, val in ((empty, []), (cache, ["--val-cache", empty])):
+        capsys.readouterr()
+        assert run(["train", "--train-cache", train, "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")] + val) == 1
+        assert capsys.readouterr().err == (f"error: {empty}: cache holds "
+                                           f"no sequences\n")
+        assert not os.path.exists(tmp_path / "run")
+
+
+def cache_of_shape(tmp_path, name, joints, channels):
+    """A cache of three 16-frame sequences labelled 0, 1, 2."""
+    path = str(tmp_path / name)
+    save_cache(path, [SkeletonSequence(np.ones((1, 16, joints, channels)),
+                                       label=i) for i in range(3)])
+    return path
+
+
+def test_train_checks_cache_geometry_before_writing(tmp_path, capsys):
+    cache = make_cache(tmp_path, "train.hagd")
+    keypoints = cache_of_shape(tmp_path, "kp.hagd", 18, 3)
+    planar = cache_of_shape(tmp_path, "xy.hagd", 25, 2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    # an 18-joint cache to train or validate an ntu25 model, and 2 channels
+    for train, val, want in (
+            (keypoints, [], f"{keypoints}[0]: 18 joints and 3 channels"),
+            (cache, ["--val-cache", keypoints],
+             f"{keypoints}[0]: 18 joints and 3 channels"),
+            (cache, ["--val-cache", planar],
+             f"{planar}[0]: 25 joints and 2 channels")):
+        capsys.readouterr()
+        assert run(["train", "--train-cache", train, "--config",
+                    str(cfg_path), "--out", str(tmp_path / "run")] + val) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {want}; the model takes 25 and 3\n", err
+        assert not os.path.exists(tmp_path / "run")
+
+
 def test_train_honors_threads_env(tmp_path, monkeypatch):
     cache = make_cache(tmp_path, "train.hagd")
     monkeypatch.setenv("HAGCN_THREADS", "2")
@@ -449,6 +495,18 @@ def test_fuse_rejects_non_report_json(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "f.json")
 
 
+@pytest.mark.parametrize("verb", ["eval", "ablate"])
+def test_scoring_names_a_joint_count_the_model_lacks(trained, tmp_path,
+                                                     capsys, verb):
+    keypoints = cache_of_shape(tmp_path, "kp.hagd", 18, 3)
+    out = tmp_path / "r.json"
+    assert run([verb, "--checkpoint", trained["ckpt"], "--cache", keypoints,
+                "--out", str(out), "--max-frames", "12"]) == 1
+    assert capsys.readouterr().err == (f"error: {keypoints}[0] has 18 "
+                                       f"joints, the graph 25\n")
+    assert not out.exists()
+
+
 def test_ablate_reports_all_modes(trained, capsys):
     out = str(trained["dir"] / "ablation.json")
     assert run(["ablate", "--checkpoint", trained["ckpt"], "--cache",
@@ -482,6 +540,22 @@ def test_missing_checkpoint_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+
+def test_main_turns_off_numpy_huge_page_advice(tmp_path):
+    # with the advice on, peak RSS follows the address-space layout
+    core = getattr(np, "_core", None) or np.core
+    set_advice = getattr(core.multiarray, "_set_madvise_hugepage", None)
+    if set_advice is None:
+        pytest.skip("this numpy has no huge-page advice switch")
+    before = set_advice(True)
+    try:
+        assert run(["prepare", "--synthetic", "--per-class", "1",
+                    "--out", str(tmp_path / "c.hagd")]) == 0
+        assert set_advice(True) is False  # it returns the previous setting
+    finally:
+        set_advice(before)
+
+
 BLAS_PROBE = """
 import ctypes, json, sys
 from hagcn import cli
@@ -500,41 +574,50 @@ def blas_threads():
     return None
 
 seen = {"before": blas_threads()}
-train = cli.train
+spied = getattr(cli, sys.argv[1])
 
 def spy(*args, **kwargs):
     seen["during"] = blas_threads()
-    return train(*args, **kwargs)
+    return spied(*args, **kwargs)
 
-cli.train = spy
-seen["code"] = cli.main(sys.argv[1:])
+setattr(cli, sys.argv[1], spy)
+seen["code"] = cli.main(sys.argv[2:])
 seen["after"] = blas_threads()
 print(json.dumps(seen))
 """
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-def probe_train(tmp_path, cache, config, threads, out):
-    """`hagcn train` in a child under BLAS_PROBE, with HAGCN_THREADS set and
-    the BLAS thread variables unset; skips where OpenBLAS is absent or
-    starts with one thread."""
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
-    env = src_env({k: v for k, v in os.environ.items() if k not in
-                   ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")})
-    env["HAGCN_THREADS"] = threads
-    proc = subprocess.run(
-        [sys.executable, "-c", BLAS_PROBE, "train", "--train-cache", cache,
-         "--config", str(cfg_path), "--out", out],
-        capture_output=True, text=True, env=env, timeout=300)
+
+def probe(spied, argv, **env):
+    """`hagcn ARGV` in a child under BLAS_PROBE, which records the BLAS
+    thread count before, during the library call `cli.<spied>` and after.
+    The BLAS thread variables are unset, then `env` is added. Skips where
+    OpenBLAS is absent or, with those variables unset, starts with one
+    thread."""
+    child = src_env({k: v for k, v in os.environ.items()
+                     if k not in BLAS_VARS})
+    child.update(env)
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE, spied, *argv],
+                          capture_output=True, text=True, env=child,
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     if seen["before"] is None:
         pytest.skip("numpy is not linked against OpenBLAS")
-    if seen["before"] == 1:
+    if seen["before"] == 1 and not set(env) & set(BLAS_VARS):
         pytest.skip("OpenBLAS starts with one thread on this host")
-    assert seen["code"] == 0
+    assert seen["code"] == 0, proc.stderr
     return seen
+
+
+def probe_train(tmp_path, cache, config, threads, out):
+    """`hagcn train` under `probe` with HAGCN_THREADS set."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    return probe("train", ["train", "--train-cache", cache, "--config",
+                           str(cfg_path), "--out", out],
+                 HAGCN_THREADS=threads)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -547,6 +630,25 @@ def test_train_pins_blas_under_shard_threads(tmp_path, threads):
     assert seen["after"] == seen["before"]
 
 
+@pytest.mark.parametrize("verb, spied", [("eval", "score_dataset"),
+                                         ("ablate", "ablation_report")])
+def test_scoring_verbs_pin_blas(trained, tmp_path, verb, spied):
+    seen = probe(spied, [verb, "--checkpoint", trained["ckpt"], "--cache",
+                         trained["val"], "--out", str(tmp_path / "r.json"),
+                         "--max-frames", "12"])
+    # scored on one BLAS thread, as training validated, then restored
+    assert seen["during"] == 1
+    assert seen["after"] == seen["before"]
+
+
+WIDE_CONFIG = {
+    "model": {"num_classes": 8, "channels": [64, 64, 128],
+              "strides": [1, 1, 2], "dropout": 0.0},
+    "train": {"epochs": 1, "batch_size": 8, "lr": 0.05, "seed": 3,
+              "max_frames": 32},
+}
+
+
 def test_train_bits_ignore_shard_thread_count(tmp_path):
     # At width 64 a GEMM's bits depend on the BLAS thread count, so this
     # fails if `train` leaves BLAS at its default for some HAGCN_THREADS.
@@ -554,18 +656,32 @@ def test_train_bits_ignore_shard_thread_count(tmp_path):
     # it skips.
     cache = make_cache(tmp_path, "train.hagd", per_class=1, classes=8,
                        frames=32)
-    config = {
-        "model": {"num_classes": 8, "channels": [64, 64, 128],
-                  "strides": [1, 1, 2], "dropout": 0.0},
-        "train": {"epochs": 1, "batch_size": 8, "lr": 0.05, "seed": 3,
-                  "max_frames": 32},
-    }
     blobs = []
     for threads in ("1", "2"):
         out = tmp_path / f"run{threads}"
-        probe_train(tmp_path, cache, config, threads, str(out))
+        probe_train(tmp_path, cache, WIDE_CONFIG, threads, str(out))
         blobs.append((out / "model.hagc").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_eval_bits_ignore_blas_threads(tmp_path):
+    # At width 64 and 300 frames a GEMM's bits depend on the BLAS thread
+    # count, so this fails if `eval` scores with BLAS at its default. Where
+    # OpenBLAS starts with one thread (one core) it cannot fail, and it
+    # skips.
+    cache = make_cache(tmp_path, "train.hagd", per_class=1, classes=8,
+                       frames=32)
+    run_dir = tmp_path / "run"
+    probe_train(tmp_path, cache, WIDE_CONFIG, "1", str(run_dir))
+    argv = ["eval", "--checkpoint", str(run_dir / "model.hagc"),
+            "--cache", cache, "--max-frames", "300"]
+    reports = []
+    for name, env in (("default", {}),
+                      ("pinned", {"OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / f"{name}.json"
+        probe("score_dataset", argv + ["--out", str(out)], **env)
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 # What the wrapper script that pip and setuptools write for an entry

@@ -171,7 +171,7 @@ class TestAssemble:
         coords = np.zeros((1, 3, 3, 2))
         coords[0, :, 0, 0] = [1.0, 2.0, 3.0]
         seq = SkeletonSequence(coords, label=4)
-        batch, labels = assemble_batch([seq], g, max_frames=7, max_persons=2)
+        batch, labels = assemble_batch([seq], g, max_frames=7)
         assert batch.shape == (1, 2, 2, 7, 3)
         assert labels.tolist() == [4]
         assert np.array_equal(batch[0, 0, 0, :, 0],
@@ -181,15 +181,30 @@ class TestAssemble:
     def test_truncation(self):
         g = chain_graph(2)
         coords = np.arange(10, dtype=float).reshape(1, 5, 2, 1)
-        batch, _ = assemble_batch([SkeletonSequence(coords)], g, max_frames=3,
-                                  max_persons=1)
+        batch, _ = assemble_batch([SkeletonSequence(coords)], g, max_frames=3)
         assert np.array_equal(batch[0, 0, 0, :, 0], [0.0, 2.0, 4.0])
 
     def test_empty_sequence_stays_zero(self):
         g = chain_graph(2)
         seq = SkeletonSequence(np.zeros((1, 0, 2, 3)))
-        batch, _ = assemble_batch([seq], g, max_frames=4, max_persons=1)
-        assert np.array_equal(batch, np.zeros((1, 1, 3, 4, 2)))
+        batch, _ = assemble_batch([seq], g, max_frames=4)
+        assert np.array_equal(batch, np.zeros((1, 2, 3, 4, 2)))
+
+    def test_keeps_the_first_two_persons(self):
+        g = chain_graph(2)
+        coords = np.zeros((3, 2, 2, 1))
+        for m in range(3):
+            coords[m] = m + 1.0
+        batch, _ = assemble_batch([SkeletonSequence(coords)], g, max_frames=2)
+        assert ingest.MAX_PERSONS == 2
+        assert batch.shape == (1, 2, 1, 2, 2)
+        assert np.array_equal(batch[0, :, 0, 0, 0], [1.0, 2.0])
+
+    def test_joint_count_must_match_graph(self):
+        seq = SkeletonSequence(np.zeros((1, 3, 18, 3)), source_id="c.hagd[4]")
+        with pytest.raises(ValueError, match=r"c\.hagd\[4\] has 18 joints, "
+                                             r"the graph 25"):
+            assemble_batch([seq], build_graph("ntu25"), max_frames=3)
 
     def test_deterministic_without_augment(self):
         g = build_graph("ntu25")

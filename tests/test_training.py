@@ -332,6 +332,12 @@ def test_train_config_validation():
         tr.TrainConfig.from_dict({"epochs": 3, "optimizer": "adam"})
 
 
+def test_train_config_has_no_person_budget():
+    # persons are fixed at ingest.MAX_PERSONS, so training and eval agree
+    with pytest.raises(ConfigError, match="max_persons"):
+        tr.TrainConfig.from_dict({"max_persons": 2})
+
+
 # -- training loop ----------------------------------------------------------
 
 def _loop_setup(num_classes=3, per_class=4, frames=12):
