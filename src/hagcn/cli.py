@@ -153,12 +153,21 @@ def cmd_prepare(args) -> int:
         count = prepare_from_manifest(args.manifest, args.out)
     else:
         seqs = make_synthetic(args.per_class, frames=args.frames,
-                              seed=args.seed, classes=args.classes,
-                              noise=args.noise)
+                              seed=args.seed, classes=args.classes)
         save_cache(args.out, seqs)
         count = len(seqs)
     print(f"wrote {count} sequences to {args.out}")
     return 0
+
+
+def _check_geometry(config: ModelConfig, seqs) -> None:
+    """Every sequence has the joint and channel counts the model takes."""
+    takes = (config.graph.num_joints, config.in_channels)
+    for s in seqs:
+        if s.coords.shape[2:] != takes:
+            raise ConfigError(f"{s.source_id}: {s.coords.shape[2]} joints and "
+                              f"{s.coords.shape[3]} channels; the model takes "
+                              f"{takes[0]} and {takes[1]}")
 
 
 def _merge_train_overrides(train_d: dict, args) -> dict:
@@ -203,12 +212,7 @@ def cmd_train(args) -> int:
     if bad:
         raise ConfigError(f"cache labels outside [0, "
                           f"{model_cfg.num_classes}): {sorted(set(bad))[:5]}")
-    takes = (model_cfg.graph.num_joints, model_cfg.in_channels)
-    for s in train_seqs + val_seqs:
-        if s.coords.shape[2:] != takes:
-            raise ConfigError(f"{s.source_id}: {s.coords.shape[2]} joints and "
-                              f"{s.coords.shape[3]} channels; the model takes "
-                              f"{takes[0]} and {takes[1]}")
+    _check_geometry(model_cfg, train_seqs + val_seqs)
 
     # build the model before touching --out: a failed build leaves nothing
     threads = thread_count()
@@ -233,9 +237,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
+def _scoring_inputs(args):
+    """(model, epoch, sequences) for ``eval`` and ``ablate``, checked
+    before anything is scored or written."""
+    if args.max_frames < 1:
+        raise ConfigError(f"--max-frames must be at least 1, "
+                          f"got {args.max_frames}")
     model, epoch, _ = load_checkpoint(args.checkpoint)
     seqs = load_cache(args.cache)
+    _check_geometry(model.config, seqs)
+    return model, epoch, seqs
+
+
+def cmd_eval(args) -> int:
+    model, epoch, seqs = _scoring_inputs(args)
     if args.export_masks:
         # checked before anything is scored or written
         if not 0 <= args.mask_block < len(model.blocks):
@@ -316,8 +331,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model, _, _ = load_checkpoint(args.checkpoint)
-    seqs = load_cache(args.cache)
+    model, _, seqs = _scoring_inputs(args)
     report = ablation_report(model, seqs, stream=args.stream,
                              batch_size=args.batch_size,
                              max_frames=args.max_frames)
@@ -353,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--noise", type=float, default=0.02)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model on a cache")

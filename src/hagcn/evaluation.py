@@ -194,13 +194,13 @@ def read_pgm(path) -> np.ndarray:
 
 
 def export_masks(model: Model, x, out_dir, block: int = 0, sample: int = 0,
-                 prefix: str = "mask", disable: str = "none") -> list:
-    """Write per-subset CSV and PGM mask images; returns written paths."""
+                 disable: str = "none") -> list:
+    """Write ``mask_subset<i>`` CSV and PGM images; returns written paths."""
     masks = capture_masks(model, x, block=block, sample=sample,
                           disable=disable)
     paths = []
     for i, mask in enumerate(masks):
-        base = os.path.join(str(out_dir), f"{prefix}_subset{i}")
+        base = os.path.join(str(out_dir), f"mask_subset{i}")
         write_mask_csv(base + ".csv", mask)
         write_pgm(base + ".pgm", mask)
         paths.extend([base + ".csv", base + ".pgm"])

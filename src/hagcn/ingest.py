@@ -218,51 +218,20 @@ def derive_stream(seq: SkeletonSequence, stream: str,
     raise ValueError(f"unknown stream {stream!r}; choose from {STREAMS}")
 
 
-def augment_sequence(seq: SkeletonSequence, rng: np.random.Generator,
-                     angle_deg: float = 10.0,
-                     shift: float = 0.1) -> SkeletonSequence:
-    """In-plane rotation and translation of the first two channels.
-
-    One rotation angle and independent x/y offsets are drawn per sequence.
-    Persons whose coordinates are entirely zero (absent) are left untouched
-    so padding stays zero; remaining channels (depth or confidence) are
-    never modified.
-    """
-    theta = np.deg2rad(rng.uniform(-angle_deg, angle_deg))
-    dx = rng.uniform(-shift, shift)
-    dy = rng.uniform(-shift, shift)
-    cos, sin = np.cos(theta), np.sin(theta)
-    out = seq.coords.copy()
-    present = np.any(seq.coords != 0, axis=(1, 2, 3))
-    x = seq.coords[present, :, :, 0]
-    y = seq.coords[present, :, :, 1]
-    out[present, :, :, 0] = cos * x - sin * y + dx
-    out[present, :, :, 1] = sin * x + cos * y + dy
-    return seq.replace_coords(out)
-
-
 # ---------------------------------------------------------------------------
 # batch assembly
 
 
 def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
-                   max_frames: int = 300, augment: str = "none",
-                   rng: np.random.Generator = None):
+                   max_frames: int = 300):
     """Stack sequences into a (N, M, C, T, V) array plus a label vector.
 
     A sequence's frames loop-repeat to fill max_frames (and truncate beyond
     it); persons beyond ``MAX_PERSONS`` are dropped, and missing persons and
     a sequence with no frames stay zero.
-    Augmentation (kind 'rotate_shift') runs on the raw joints before stream
-    derivation so derived streams inherit it. With augment='none' the result
-    is a pure deterministic function of the inputs.
     """
     if not seqs:
         raise ValueError("assemble_batch needs at least one sequence")
-    if augment not in ("none", "rotate_shift"):
-        raise ValueError(f"unknown augment kind {augment!r}")
-    if augment != "none" and rng is None:
-        raise ValueError("augmentation needs an rng")
     channels = seqs[0].coords.shape[3]
     batch = np.zeros((len(seqs), MAX_PERSONS, channels, max_frames,
                       graph.num_joints), dtype=np.float64)
@@ -275,8 +244,6 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
                              f"{seq.coords.shape[2]} joints, the graph "
                              f"{graph.num_joints}")
         labels[n] = seq.label
-        if augment == "rotate_shift":
-            seq = augment_sequence(seq, rng)
         seq = derive_stream(seq, stream, graph)
         frames = seq.coords.shape[1]
         if frames == 0:

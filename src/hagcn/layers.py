@@ -34,9 +34,9 @@ class Layer:
     declaration order, which fixes serialization and init order.
     """
 
-    def _walk(self, prefix, want_params):
+    def _walk(self, path, want_params):
         for name, value in self.__dict__.items():
-            key = prefix + name
+            key = path + name
             if isinstance(value, Tensor):
                 if want_params and value.requires_grad:
                     yield key, value
@@ -50,11 +50,11 @@ class Layer:
                     if isinstance(item, Layer):
                         yield from item._walk(f"{key}.{i}.", want_params)
 
-    def named_params(self, prefix: str = ""):
-        yield from self._walk(prefix, True)
+    def named_params(self):
+        yield from self._walk("", True)
 
-    def named_buffers(self, prefix: str = ""):
-        yield from self._walk(prefix, False)
+    def named_buffers(self):
+        yield from self._walk("", False)
 
     def param_count(self) -> int:
         return sum(p.data.size for _, p in self.named_params())

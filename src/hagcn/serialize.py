@@ -2,8 +2,8 @@
 
 Tensor blobs carry the magic ``HAGT`` followed by the rank as a little-endian
 u64, each dimension as a u64, then the elements as little-endian float64 in
-row-major order. The checkpoint format is built from these blobs plus
-length-prefixed names and JSON blocks.
+row-major order. The checkpoint format is built from these blobs plus names
+and JSON blocks, each written after its byte length as a u64.
 """
 
 from __future__ import annotations

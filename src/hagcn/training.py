@@ -1,5 +1,11 @@
 """Optimization loop, synthetic motion data and gradient sharding.
 
+Training follows one fixed recipe: Nesterov SGD with momentum 0.9 and weight
+decay 1e-4 (none on ``gamma``, ``beta`` or ``alpha``), a step learning-rate
+schedule, no input transforms, and a divergence guard at ``LOSS_CEILING``.
+``TrainConfig`` holds only what a run may change. Synthetic sequences carry
+Gaussian coordinate noise of scale ``NOISE``.
+
 Gradient work is split over fixed microbatch shards; the ``HAGCN_THREADS``
 environment variable only schedules shards onto worker threads and never
 changes results. Shard gradients and batch-norm statistics are merged in
@@ -56,8 +62,7 @@ def cross_entropy(logits: T.Tensor, labels) -> T.Tensor:
     return T.mul(T.tsum(T.mul(logp, T.Tensor(onehot))), -1.0 / n)
 
 
-def lr_at(epoch: int, base: float = 0.1, milestones=(60, 90),
-          factor: float = 0.1) -> float:
+def lr_at(epoch: int, base: float, milestones, factor: float) -> float:
     drops = sum(1 for m in milestones if epoch >= m)
     return base * factor ** drops
 
@@ -71,13 +76,12 @@ class SGD:
     """
 
     SKIP_DECAY = ("gamma", "beta", "alpha")
+    momentum = 0.9
+    weight_decay = 1e-4
 
-    def __init__(self, model, lr: float = 0.1, momentum: float = 0.9,
-                 weight_decay: float = 1e-4):
+    def __init__(self, model, lr: float):
         self.params = list(model.named_params())
         self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data)
                          for name, p in self.params}
 
@@ -90,7 +94,7 @@ class SGD:
             g = grads.get(name)
             if g is None:
                 continue
-            if self.weight_decay and self._decays(name):
+            if self._decays(name):
                 g = g + self.weight_decay * p.data
             v = self.velocity[name]
             v[...] = self.momentum * v + g
@@ -268,14 +272,15 @@ def _template(label: int, frames: int) -> np.ndarray:
 
 
 NUM_TEMPLATES = 8
+NOISE = 0.02  # scale of the Gaussian noise added to every coordinate
 
 
 def make_synthetic(per_class: int, frames: int = 64, seed: int = 0,
-                   classes: int = NUM_TEMPLATES, noise: float = 0.02):
+                   classes: int = NUM_TEMPLATES):
     """Build labeled one-person 25-joint sequences from motion templates.
 
-    Additive coordinate noise is the only stochastic element, so a seed
-    pins the dataset exactly.
+    Additive coordinate noise (scale ``NOISE``) is the only stochastic
+    element, so a seed pins the dataset exactly.
     """
     if not 1 <= classes <= NUM_TEMPLATES:
         raise ValueError(f"classes must be in [1, {NUM_TEMPLATES}]")
@@ -287,18 +292,17 @@ def make_synthetic(per_class: int, frames: int = 64, seed: int = 0,
     for label in range(classes):
         clean = _template(label, frames)
         for i in range(per_class):
-            coords = clean + rng.normal(scale=noise, size=clean.shape)
+            coords = clean + rng.normal(scale=NOISE, size=clean.shape)
             seqs.append(SkeletonSequence(coords[None], label=label,
                                          source_id=f"syn-{label}-{i}"))
     return seqs
 
 
 def synthetic_split(per_train: int = 50, per_val: int = 20, frames: int = 64,
-                    seed: int = 0, classes: int = NUM_TEMPLATES,
-                    noise: float = 0.02):
+                    seed: int = 0, classes: int = NUM_TEMPLATES):
     """Disjoint train and validation draws from the same template set."""
-    train = make_synthetic(per_train, frames, seed, classes, noise)
-    val = make_synthetic(per_val, frames, seed + 10_000, classes, noise)
+    train = make_synthetic(per_train, frames, seed, classes)
+    val = make_synthetic(per_val, frames, seed + 10_000, classes)
     return train, val
 
 
@@ -312,13 +316,10 @@ class TrainConfig:
     batch_size: int = 16
     micro_batch: int = 0
     lr: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
     milestones: tuple = (60, 90)
     lr_factor: float = 0.1
     seed: int = 1
     stream: str = "joint"
-    augment: str = "none"
     max_frames: int = 300
 
     def __post_init__(self):
@@ -326,18 +327,12 @@ class TrainConfig:
                           ("seed", None), ("max_frames", 1)):
             setattr(self, name, config_int(name, getattr(self, name), low))
         self.milestones = config_ints("milestones", self.milestones)
-        for name in ("lr", "momentum", "weight_decay", "lr_factor"):
+        for name in ("lr", "lr_factor"):
             config_real(name, getattr(self, name))
         if self.lr <= 0.0:
             raise ConfigError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must be in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ConfigError("weight_decay must be non-negative")
         if self.stream not in STREAMS:
             raise ConfigError(f"stream must be one of {STREAMS}")
-        if self.augment not in ("none", "rotate_shift"):
-            raise ConfigError("augment must be 'none' or 'rotate_shift'")
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -349,6 +344,8 @@ class TrainConfig:
         config_keys("training", cls, d)
         return cls(**d)
 
+
+LOSS_CEILING = 50.0  # a batch loss above this is divergence
 
 HISTORY_FIELDS = ("epoch", "lr", "train_loss", "train_acc", "val_acc")
 
@@ -364,11 +361,11 @@ def write_history(path, rows) -> None:
 
 def train(model: Model, train_seqs, val_seqs=None,
           config: TrainConfig = None, threads: int = None,
-          callback=None, loss_ceiling: float = 50.0):
+          callback=None):
     """Run the full optimization loop; returns per-epoch history rows.
 
     Raises TrainingDiverged when the batch loss stops being finite or
-    exceeds ``loss_ceiling``.
+    exceeds ``LOSS_CEILING``.
     """
     cfg = config if config is not None else TrainConfig()
     if threads is None:
@@ -376,8 +373,7 @@ def train(model: Model, train_seqs, val_seqs=None,
     if not train_seqs:
         raise ValueError("no training sequences")
     rng = np.random.default_rng(cfg.seed)
-    opt = SGD(model, lr=cfg.lr, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay)
+    opt = SGD(model, cfg.lr)
     graph = model.config.graph
     n = len(train_seqs)
     history = []
@@ -390,12 +386,11 @@ def train(model: Model, train_seqs, val_seqs=None,
             idx = order[start:start + cfg.batch_size]
             chunk = [train_seqs[i] for i in idx]
             x, labels = assemble_batch(chunk, graph, stream=cfg.stream,
-                                       max_frames=cfg.max_frames,
-                                       augment=cfg.augment, rng=rng)
+                                       max_frames=cfg.max_frames)
             shards = shard_batch(x, labels, cfg.micro_batch)
             loss, logits, grads = accumulate_gradients(model, shards, rng,
                                                        threads)
-            if not np.isfinite(loss) or loss > loss_ceiling:
+            if not np.isfinite(loss) or loss > LOSS_CEILING:
                 raise TrainingDiverged(
                     f"loss {loss} at epoch {epoch} step {start // cfg.batch_size}")
             opt.step(grads)

@@ -93,6 +93,15 @@ def test_prepare_rejects_empty_synthetic_draw(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_prepare_has_no_noise_flag(tmp_path, capsys):
+    # the synthetic noise is the constant hagcn.training.NOISE
+    out = tmp_path / "c.hagd"
+    assert run(["prepare", "--synthetic", "--out", str(out),
+                "--noise", "0.1"]) == 1
+    assert "--noise" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_prepare_from_manifest(tmp_path, capsys):
     manifest = tmp_path / "files.txt"
     skeleton = os.path.join(FIXTURES, "sample.skeleton")
@@ -222,7 +231,7 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
                 {"model": {"graph": dict(ntu, num_joints=25.9)}},
                 {"model": {"graph": dict(ntu, edges=[[1.7, 0]])}},
                 {"model": {"graph": dict(ntu, hub_joints=["3"])}},
-                {"train": {"weight_decay": float("nan")}},
+                {"train": {"lr_factor": float("nan")}},
                 {"train": {"lr": float("inf")}},
                 {"model": {"dropout": float("-inf")}}):
         cfg_path = tmp_path / "bad.json"
@@ -236,6 +245,23 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
                     str(tmp_path / "run")] + flag)
         assert code == 1, flag
         assert "must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("key, value", [("momentum", 0.9),
+                                        ("weight_decay", 1e-4),
+                                        ("augment", "none")])
+def test_train_rejects_fixed_recipe_keys(tmp_path, capsys, key, value):
+    # a config.json written when these were settings must drop them
+    cache = make_cache(tmp_path, "train.hagd")
+    capsys.readouterr()
+    cfg = dict(TINY_CONFIG, train=dict(TINY_CONFIG["train"], **{key: value}))
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["train", "--train-cache", cache, "--config", str(cfg_path),
+                "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == (f"error: unknown training config "
+                                       f"keys: ['{key}']\n")
     assert not os.path.exists(tmp_path / "run")
 
 
@@ -498,13 +524,31 @@ def test_fuse_rejects_non_report_json(tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["eval", "ablate"])
 def test_scoring_names_a_joint_count_the_model_lacks(trained, tmp_path,
                                                      capsys, verb):
-    keypoints = cache_of_shape(tmp_path, "kp.hagd", 18, 3)
+    # the check `train` makes, on an 18-joint cache and on a 2-channel one
     out = tmp_path / "r.json"
-    assert run([verb, "--checkpoint", trained["ckpt"], "--cache", keypoints,
-                "--out", str(out), "--max-frames", "12"]) == 1
-    assert capsys.readouterr().err == (f"error: {keypoints}[0] has 18 "
-                                       f"joints, the graph 25\n")
-    assert not out.exists()
+    for joints, channels in ((18, 3), (25, 2)):
+        cache = cache_of_shape(tmp_path, f"{joints}x{channels}.hagd",
+                               joints, channels)
+        assert run([verb, "--checkpoint", trained["ckpt"], "--cache", cache,
+                    "--out", str(out), "--max-frames", "12"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cache}[0]: {joints} joints and {channels} channels; "
+            f"the model takes 25 and 3\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["eval", "ablate"])
+@pytest.mark.parametrize("frames", ["-1", "0"])
+def test_scoring_rejects_max_frames_below_one(trained, tmp_path, capsys,
+                                              verb, frames):
+    out, masks = tmp_path / "r.json", tmp_path / "masks"
+    extra = ["--export-masks", str(masks)] if verb == "eval" else []
+    assert run([verb, "--checkpoint", trained["ckpt"], "--cache",
+                trained["val"], "--out", str(out),
+                "--max-frames", frames] + extra) == 1
+    assert capsys.readouterr().err == (f"error: --max-frames must be at "
+                                       f"least 1, got {frames}\n")
+    assert not out.exists() and not masks.exists()
 
 
 def test_ablate_reports_all_modes(trained, capsys):

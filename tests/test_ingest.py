@@ -8,8 +8,8 @@ import pytest
 from hagcn import ingest
 from hagcn.errors import FormatError
 from hagcn.graph import GraphSpec, build_graph
-from hagcn.ingest import (SkeletonSequence, assemble_batch, augment_sequence,
-                          load_cache, parse_ntu_skeleton, parse_openpose_json,
+from hagcn.ingest import (SkeletonSequence, assemble_batch, load_cache,
+                          parse_ntu_skeleton, parse_openpose_json,
                           prepare_from_manifest, save_cache, to_bone, to_motion)
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -213,45 +213,6 @@ class TestAssemble:
                 for i in range(3)]
         a, _ = assemble_batch(seqs, g, stream="bone", max_frames=10)
         b, _ = assemble_batch(seqs, g, stream="bone", max_frames=10)
-        assert a.tobytes() == b.tobytes()
-
-    def test_augment_needs_rng(self):
-        g = chain_graph(2)
-        with pytest.raises(ValueError, match="rng"):
-            assemble_batch([SkeletonSequence(np.zeros((1, 1, 2, 3)))], g,
-                           augment="rotate_shift")
-
-    def test_unknown_augment(self):
-        g = chain_graph(2)
-        with pytest.raises(ValueError, match="augment"):
-            assemble_batch([SkeletonSequence(np.zeros((1, 1, 2, 3)))], g,
-                           augment="jitter", rng=np.random.default_rng(0))
-
-
-class TestAugment:
-    def test_rotation_preserves_norms_and_third_channel(self):
-        rng = np.random.default_rng(3)
-        coords = rng.standard_normal((1, 4, 5, 3))
-        seq = SkeletonSequence(coords)
-        out = augment_sequence(seq, np.random.default_rng(0), shift=0.0).coords
-        norms_in = np.hypot(coords[..., 0], coords[..., 1])
-        norms_out = np.hypot(out[..., 0], out[..., 1])
-        assert np.allclose(norms_in, norms_out, atol=1e-12)
-        assert np.array_equal(out[..., 2], coords[..., 2])
-
-    def test_absent_person_untouched(self):
-        coords = np.zeros((2, 3, 4, 3))
-        coords[0] = 1.0
-        out = augment_sequence(SkeletonSequence(coords),
-                               np.random.default_rng(5)).coords
-        assert np.array_equal(out[1], np.zeros((3, 4, 3)))
-        assert not np.array_equal(out[0], coords[0])
-
-    def test_same_seed_same_result(self):
-        coords = np.random.default_rng(2).standard_normal((1, 3, 4, 3))
-        seq = SkeletonSequence(coords)
-        a = augment_sequence(seq, np.random.default_rng(9)).coords
-        b = augment_sequence(seq, np.random.default_rng(9)).coords
         assert a.tobytes() == b.tobytes()
 
 
