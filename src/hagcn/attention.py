@@ -93,8 +93,10 @@ class SubsetAttention(Layer):
         self.extension_conv = extension_conv
         self.c_inter = cm
 
-    def final_mask(self, x, disable: str = "none") -> Tensor:
-        """The learned-plus-base mask actually used for aggregation."""
+    def final_mask(self, x, disable: str = "none") -> tuple:
+        """The learned-plus-base mask actually used for aggregation, and a
+        function that rebuilds its data bit for bit from arrays the
+        extension conv's gradient keeps anyway (None without that conv)."""
         terms = []
         if self.branches in ("hybrid", "rd") and disable != "rd":
             terms.append(rd_mask(self.rd.forward(x)))
@@ -108,20 +110,27 @@ class SubsetAttention(Layer):
             terms.append(np.zeros((x.data.shape[0], self.c_inter, 1, 1)))
         learned = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
         a_fin = T.add(learned, self.a_base)
-        if self.extension_conv:
-            return T.conv2d(a_fin, self.ext_w, self.ext_b)
-        return T.tmean(a_fin, axes=1, keepdims=True)
+        if not self.extension_conv:
+            return T.tmean(a_fin, axes=1, keepdims=True), None
+        ad, wd, bd = a_fin.data, self.ext_w.data, self.ext_b.data
+        return (T.conv2d(a_fin, self.ext_w, self.ext_b),
+                lambda: T.conv2d(ad, wd, bd).data)
 
     def forward(self, x, disable: str = "none") -> tuple:
-        mask = self.final_mask(x, disable)
+        mask, replay = self.final_mask(x, disable)
         val = T.conv2d(x, self.val_w, self.val_b)
         # y[n,c,t,i] = sum_j mask[n,c,i,j] * val[n,c,t,j]; the mask gradient
         # replays the conv on plain arrays (no graph node, the same bits)
-        # instead of keeping N*C_out*T*V floats. The two stay separate nodes
-        # so the flows into x keep their order.
+        # instead of keeping N*C_out*T*V floats, and the value gradient
+        # replays the extension conv instead of keeping N*C_out*V*V. The
+        # convs and the product stay separate nodes so the flows into x keep
+        # their order.
         xd, wd, bd = x.data, self.val_w.data, self.val_b.data
+        mask_t = None if replay is None else (
+            lambda: replay().transpose(0, 1, 3, 2))
         out = T.matmul(val, T.transpose(mask, (0, 1, 3, 2)),
-                       recompute_a=lambda: T.conv2d(xd, wd, bd).data)
+                       recompute_a=lambda: T.conv2d(xd, wd, bd).data,
+                       recompute_b=mask_t)
         return out, mask
 
 
@@ -146,4 +155,6 @@ class HybridSpatialAttention(Layer):
             if mask_out is not None:
                 mask_out.append(np.array(mask.data))
             total = y if total is None else T.add(total, y)
+            # free this subset's mask and output before the next one runs
+            del y, mask
         return total

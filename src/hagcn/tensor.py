@@ -15,11 +15,13 @@ and a closure captures only the arrays and shapes that the formulas for the
 gradients actually needed read. An activation is therefore freed as soon as
 its Tensor and the last closure that reads it are gone, not when the graph
 is. One exception trades memory for arithmetic: a product given
-``recompute_a`` keeps nothing of that operand and calls the function again
-in backward (the attention's value projection, replayed through ``conv2d``
-on the arrays its forward read). And the graph is one-shot: ``backward``
-drops each closure once it has run, so saved arrays free as the walk
-proceeds, and a second walk over a spent graph raises RuntimeError.
+``recompute_a`` or ``recompute_b`` keeps nothing of that operand and calls
+the function again in backward. The attention's aggregation does so for
+both operands, replaying its value projection and its mask's extension conv
+through ``conv2d`` on arrays the graph keeps anyway. And the graph is
+one-shot: ``backward`` drops each closure once it has run, so saved arrays
+free as the walk proceeds, and a second walk over a spent graph raises
+RuntimeError.
 
 Closures read parameter arrays live, never copies, so a parameter must not
 change between a forward pass and its backward.
@@ -179,12 +181,12 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), back)
 
 
-def matmul(a, b, recompute_a=None) -> Tensor:
+def matmul(a, b, recompute_a=None, recompute_b=None) -> Tensor:
     """Matrix product with numpy batch broadcasting; both operands rank >= 2.
 
     ``recompute_a``, a zero-argument function returning ``a``'s data bit for
     bit, makes the product keep nothing of ``a``: b's gradient calls it
-    instead.
+    instead. ``recompute_b`` does the same for ``b`` and a's gradient.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -194,19 +196,15 @@ def matmul(a, b, recompute_a=None) -> Tensor:
         raise ValueError(f"matmul inner dimensions differ: {sa} @ {sb}")
     data = np.matmul(a.data, b.data)
     # a is kept (or recomputed) only for b's gradient, b only for a's
-    if not b.requires_grad:
-        recompute_a = None
-    elif recompute_a is None:
-        ad = a.data
-        recompute_a = lambda: ad
-    bd = b.data if a.requires_grad else None
+    get_a = (recompute_a or (lambda d=a.data: d)) if b.requires_grad else None
+    get_b = (recompute_b or (lambda d=b.data: d)) if a.requires_grad else None
 
     def back(g):
         ga = gb = None
-        if bd is not None:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), sa)
-        if recompute_a is not None:
-            gb = _unbroadcast(np.matmul(np.swapaxes(recompute_a(), -1, -2), g), sb)
+        if get_b is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(get_b(), -1, -2)), sa)
+        if get_a is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(get_a(), -1, -2), g), sb)
         return ga, gb
 
     return _make(data, (a, b), back)

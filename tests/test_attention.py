@@ -9,6 +9,7 @@ from hagcn.attention import (BranchCompression, HybridSpatialAttention,
                              SubsetAttention, inter_channels, ra_mask, rd_mask)
 from hagcn.graph import GraphSpec, build_graph
 from hagcn.tensor import Tensor, backward, grad_check
+from test_tensor import same_bits
 
 
 def toy_graph(v=5):
@@ -75,8 +76,8 @@ class TestSubsetBehaviour:
         brute.randomize_layer(sub, np.random.default_rng(8))
         sub.alpha.data[...] = 0.0
         x = toy_input()
-        full = sub.final_mask(x, disable="none").data
-        no_ra = sub.final_mask(x, disable="ra").data
+        full = sub.final_mask(x, disable="none")[0].data
+        no_ra = sub.final_mask(x, disable="ra")[0].data
         assert np.array_equal(full, no_ra)
 
     def test_disable_rd_leaves_scaled_ra(self):
@@ -85,7 +86,7 @@ class TestSubsetBehaviour:
                               extension_conv=False)
         brute.randomize_layer(sub, np.random.default_rng(10))
         x = toy_input()
-        got = sub.final_mask(x, disable="rd").data
+        got = sub.final_mask(x, disable="rd")[0].data
         f = sub.ra.forward(x)
         expect = (float(sub.alpha.data) * ra_mask(f).data).mean(axis=1,
                                                                 keepdims=True)
@@ -96,7 +97,7 @@ class TestSubsetBehaviour:
         base = np.random.default_rng(0).random((5, 5))
         sub = SubsetAttention(3, 6, base, rng, branches="rd",
                               extension_conv=False)
-        got = sub.final_mask(toy_input(), disable="rd").data
+        got = sub.final_mask(toy_input(), disable="rd")[0].data
         assert got.shape == (2, 1, 5, 5)
         assert np.allclose(got, base[None, None], atol=1e-15)
 
@@ -113,7 +114,7 @@ class TestSubsetBehaviour:
     def test_extension_off_shares_mask_across_channels(self):
         rng = np.random.default_rng(13)
         sub = SubsetAttention(3, 6, np.eye(5), rng, extension_conv=False)
-        mask = sub.final_mask(toy_input()).data
+        mask = sub.final_mask(toy_input())[0].data
         assert mask.shape == (2, 1, 5, 5)
 
     def test_bad_branch_mode(self):
@@ -194,13 +195,49 @@ class TestLayerApi:
 UNIT_WIDTHS = {"desk": (8, 8, 16), "ntu": (64, 64, 64)}
 
 
-def skeleton_unit(width, seed=0):
+def skeleton_unit(width, seed=0, **kw):
     c_in, c_out, t = UNIT_WIDTHS[width]
     a = build_graph("ntu25").subset_matrices()[1]
-    sub = SubsetAttention(c_in, c_out, a, np.random.default_rng(seed))
+    sub = SubsetAttention(c_in, c_out, a, np.random.default_rng(seed), **kw)
     brute.randomize_layer(sub, np.random.default_rng(seed + 100))
     x = np.random.default_rng(seed + 200).standard_normal((2, c_in, t, 25))
     return sub, x
+
+
+def unit_grads(sub, xdata, forward):
+    """Gradients of x and of every subset parameter under a fixed cotangent;
+    also returns the output."""
+    x = Tensor(xdata, requires_grad=True)
+    out = forward(x)
+    c = np.random.default_rng(4).standard_normal(out.data.shape)
+    g = backward(T.tsum(T.mul(out, c)))
+    return out.data, [g[x.node]] + [g[p.node] for _, p in sub.named_params()]
+
+
+def assert_conv_output_dies(sub, xdata, weight, monkeypatch):
+    """The memory of the unit's conv output with ``weight`` is freed once
+    forward returns (the unit's mask output dropped), while the loss graph
+    lives."""
+    refs = []
+    conv2d = T.conv2d
+
+    def spy(x, w, b, *args, **kw):
+        out = conv2d(x, w, b, *args, **kw)
+        if w is weight:
+            # the array owning the memory: a view of it may outlive out.data
+            owner = out.data
+            while owner.base is not None:
+                owner = owner.base
+            refs.append(weakref.ref(owner))
+        return out
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    out = sub.forward(Tensor(xdata, requires_grad=True))[0]
+    monkeypatch.undo()
+    loss = T.tsum(out)
+    assert len(refs) == 1
+    assert refs[0]() is None and loss.node is not None
+    assert backward(loss)
 
 
 class TestValueRecompute:
@@ -210,44 +247,93 @@ class TestValueRecompute:
     @pytest.mark.parametrize("width", sorted(UNIT_WIDTHS))
     def test_projection_dies_before_backward(self, width, monkeypatch):
         sub, xdata = skeleton_unit(width)
-        refs = []
-        conv2d = T.conv2d
-
-        def spy(x, w, b, *args, **kw):
-            out = conv2d(x, w, b, *args, **kw)
-            if w is sub.val_w:
-                refs.append(weakref.ref(out.data))
-            return out
-
-        monkeypatch.setattr(T, "conv2d", spy)
-        out, _ = sub.forward(Tensor(xdata, requires_grad=True))
-        monkeypatch.undo()
-        loss = T.tsum(out)
-        assert len(refs) == 1
-        assert refs[0]() is None and loss.node is not None
-        assert backward(loss)
+        assert_conv_output_dies(sub, xdata, sub.val_w, monkeypatch)
 
     @pytest.mark.parametrize("width", sorted(UNIT_WIDTHS))
     def test_gradients_match_plain_product(self, width):
         sub, xdata = skeleton_unit(width, seed=3)
 
         def plain(x):
-            mask = sub.final_mask(x)
+            mask, _ = sub.final_mask(x)
             val = T.conv2d(x, sub.val_w, sub.val_b)
             return T.matmul(val, T.transpose(mask, (0, 1, 3, 2)))
 
-        def grads(forward):
-            x = Tensor(xdata, requires_grad=True)
-            out = forward(x)
-            c = np.random.default_rng(4).standard_normal(out.data.shape)
-            g = backward(T.tsum(T.mul(out, c)))
-            return [g[x.node]] + [g[p.node] for _, p in sub.named_params()]
-
-        got = grads(lambda x: sub.forward(x)[0])
-        want = grads(plain)
+        _, got = unit_grads(sub, xdata, lambda x: sub.forward(x)[0])
+        _, want = unit_grads(sub, xdata, plain)
         assert len(got) == 1 + len(list(sub.named_params())) == 14
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+def kept_mask_product(sub):
+    """The aggregation with the value replay but the mask kept."""
+    def forward(x):
+        mask, _ = sub.final_mask(x)
+        val = T.conv2d(x, sub.val_w, sub.val_b)
+        xd, wd, bd = x.data, sub.val_w.data, sub.val_b.data
+        return T.matmul(val, T.transpose(mask, (0, 1, 3, 2)),
+                        recompute_a=lambda: T.conv2d(xd, wd, bd).data)
+    return forward
+
+
+class TestMaskRecompute:
+    """The aggregation replays the extension conv for the value gradient
+    instead of keeping the (N, C_out, V, V) mask."""
+
+    @pytest.mark.parametrize("width", sorted(UNIT_WIDTHS))
+    def test_mask_dies_before_backward(self, width, monkeypatch):
+        sub, xdata = skeleton_unit(width)
+        assert_conv_output_dies(sub, xdata, sub.ext_w, monkeypatch)
+
+    @pytest.mark.parametrize("width", sorted(UNIT_WIDTHS))
+    def test_gradients_match_kept_mask(self, width):
+        sub, xdata = skeleton_unit(width, seed=5)
+        got_out, got = unit_grads(sub, xdata, lambda x: sub.forward(x)[0])
+        want_out, want = unit_grads(sub, xdata, kept_mask_product(sub))
+        assert len(got) == 1 + len(list(sub.named_params())) == 14
+        assert same_bits(got_out, want_out)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("width", sorted(UNIT_WIDTHS))
+    def test_shared_mask_without_extension_conv(self, width):
+        sub, xdata = skeleton_unit(width, seed=6, extension_conv=False)
+        mask, replay = sub.final_mask(Tensor(xdata))
+        assert mask.data.shape == (2, 1, 25, 25) and replay is None
+        got_out, got = unit_grads(sub, xdata, lambda x: sub.forward(x)[0])
+        want_out, want = unit_grads(sub, xdata, kept_mask_product(sub))
+        assert len(got) == 1 + len(list(sub.named_params())) == 12
+        assert same_bits(got_out, want_out)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_subset_mask_freed_before_next_subset(self, grad, monkeypatch):
+        layer = HybridSpatialAttention(8, 8, build_graph("ntu25"),
+                                       np.random.default_rng(0))
+        xdata = np.random.default_rng(1).standard_normal((2, 8, 16, 25))
+        weights = [sub.ext_w for sub in layer.subsets]
+        refs, alive = [], []
+        conv2d = T.conv2d
+
+        def spy(x, w, b, *args, **kw):
+            ext = any(w is ew for ew in weights)
+            if ext:  # which earlier subsets' masks are alive at this one's
+                alive.append([r() is not None for r in refs])
+            out = conv2d(x, w, b, *args, **kw)
+            if ext:
+                owner = out.data
+                while owner.base is not None:
+                    owner = owner.base
+                refs.append(weakref.ref(owner))
+            return out
+
+        monkeypatch.setattr(T, "conv2d", spy)
+        if grad:
+            out = layer.forward(Tensor(xdata, requires_grad=True))
+        else:
+            with T.no_grad():
+                out = layer.forward(Tensor(xdata))
+        monkeypatch.undo()
+        assert alive == [[], [False], [False, False]]
+        assert (out.node is not None) == grad
 
 
 def _with_alpha(layer, alpha, x):

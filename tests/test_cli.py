@@ -551,6 +551,21 @@ def test_scoring_rejects_max_frames_below_one(trained, tmp_path, capsys,
     assert not out.exists() and not masks.exists()
 
 
+@pytest.mark.parametrize("verb", ["eval", "ablate"])
+@pytest.mark.parametrize("size", ["-2", "0"])
+def test_scoring_rejects_batch_size_below_one(trained, tmp_path, capsys,
+                                              verb, size):
+    # checked by flag name before the checkpoint is read: a missing one is
+    # not reported
+    out = tmp_path / "r.json"
+    assert run([verb, "--checkpoint", str(tmp_path / "missing.hagc"),
+                "--cache", trained["val"], "--out", str(out),
+                "--max-frames", "12", "--batch-size", size]) == 1
+    assert capsys.readouterr().err == (f"error: --batch-size must be at "
+                                       f"least 1, got {size}\n")
+    assert not out.exists()
+
+
 def test_ablate_reports_all_modes(trained, capsys):
     out = str(trained["dir"] / "ablation.json")
     assert run(["ablate", "--checkpoint", trained["ckpt"], "--cache",
@@ -598,6 +613,45 @@ def test_main_turns_off_numpy_huge_page_advice(tmp_path):
         assert set_advice(True) is False  # it returns the previous setting
     finally:
         set_advice(before)
+
+
+def test_train_releases_the_kept_heap(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "release_heap", lambda: calls.append(1))
+    cache = make_cache(tmp_path, "train.hagd")
+    assert calls == []
+    train_dir(tmp_path, cache)
+    assert calls == [1]
+
+
+HEAP_PROBE = """
+import os
+import numpy as np
+from hagcn import cli
+
+def resident_mib():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
+
+cli.keep_heap()
+blocks = [np.ones(1 << 17) for _ in range(64)]  # 64 MiB of heap arrays
+del blocks  # kept: the trim threshold is 1 GiB
+before = resident_mib()
+cli.release_heap()
+print(before - resident_mib())
+"""
+
+
+def test_release_heap_returns_free_heap_pages():
+    # a fresh process, so the heap holds no other test's free pages
+    if (not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION")
+            or not os.path.exists("/proc/self/statm")):
+        pytest.skip("needs glibc and /proc")
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE],
+                          capture_output=True, text=True, env=src_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.strip().splitlines()[-1]) > 32
 
 
 BLAS_PROBE = """

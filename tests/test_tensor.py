@@ -507,6 +507,48 @@ class TestGraphMemory:
         assert np.array_equal(grads[dead], np.full(3, 2.0))
 
 
+class TestMatmulRecompute:
+    """``recompute_b`` makes a product keep nothing of b: a's gradient
+    calls the function instead."""
+
+    @staticmethod
+    def run(recompute, a_needs_grad=True):
+        a = randt((2, 3, 4), seed=30)
+        if not a_needs_grad:
+            a = Tensor(a.data)
+        w = randt((4, 5), seed=31)
+        b = T.mul(w, 1.5)  # a fresh interior array
+        calls = []
+
+        def replay():
+            calls.append(1)
+            return w.data * 1.5
+
+        out = T.matmul(a, b, recompute_b=replay if recompute else None)
+        ref = weakref.ref(b.data)
+        c = np.random.default_rng(32).standard_normal(out.data.shape)
+        loss = T.tsum(T.mul(out, c))
+        del b, out
+        alive = ref() is not None
+        grads = backward(loss)
+        return alive, calls, grads.get(a.node), grads[w.node]
+
+    def test_gradients_match_the_kept_operand(self):
+        _, _, ga, gw = self.run(recompute=True)
+        _, _, want_a, want_w = self.run(recompute=False)
+        assert same_bits(ga, want_a) and same_bits(gw, want_w)
+
+    def test_replay_runs_once_and_only_for_a_gradient(self):
+        _, calls, ga, _ = self.run(recompute=True)
+        assert calls == [1] and ga is not None
+        _, calls, ga, _ = self.run(recompute=True, a_needs_grad=False)
+        assert calls == [] and ga is None
+
+    def test_operand_is_unreachable_after_forward(self):
+        assert not self.run(recompute=True)[0]
+        assert self.run(recompute=False)[0]
+
+
 class TestSerialization:
     @pytest.mark.parametrize("shape", [(), (4,), (2, 3), (2, 3, 4), (1, 2, 3, 4)])
     def test_round_trip(self, shape):
