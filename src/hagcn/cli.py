@@ -28,8 +28,8 @@ from .errors import ConfigError, FormatError
 from .evaluation import (ablation_report, export_masks, fuse_scores,
                          score_dataset, topk_accuracy)
 from .graph import BUILTIN_GRAPHS, GraphSpec, build_graph
-from .ingest import (STREAMS, assemble_batch, load_cache,
-                     prepare_from_manifest, save_cache)
+from .ingest import (STREAMS, assemble_batch, load_cache, read_manifest,
+                     save_cache)
 from .network import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import (TrainConfig, make_synthetic, thread_count, train,
                        write_history)
@@ -173,13 +173,12 @@ def cmd_prepare(args) -> int:
     if bool(args.manifest) == bool(args.synthetic):
         raise ConfigError("pass exactly one of --manifest or --synthetic")
     if args.manifest:
-        count = prepare_from_manifest(args.manifest, args.out)
+        seqs = read_manifest(args.manifest)
     else:
         seqs = make_synthetic(args.per_class, frames=args.frames,
                               seed=args.seed, classes=args.classes)
-        save_cache(args.out, seqs)
-        count = len(seqs)
-    print(f"wrote {count} sequences to {args.out}")
+    save_cache(args.out, seqs)
+    print(f"wrote {len(seqs)} sequences to {args.out}")
     return 0
 
 
@@ -191,16 +190,6 @@ def _check_geometry(config: ModelConfig, seqs) -> None:
             raise ConfigError(f"{s.source_id}: {s.coords.shape[2]} joints and "
                               f"{s.coords.shape[3]} channels; the model takes "
                               f"{takes[0]} and {takes[1]}")
-
-
-def _merge_train_overrides(train_d: dict, args) -> dict:
-    overrides = {"seed": args.seed, "stream": args.stream,
-                 "epochs": args.epochs, "lr": args.lr,
-                 "batch_size": args.batch_size}
-    for key, value in overrides.items():
-        if value is not None:
-            train_d[key] = value
-    return train_d
 
 
 def cmd_train(args) -> int:
@@ -227,8 +216,10 @@ def cmd_train(args) -> int:
     model_d["graph"] = _resolve_graph(model_d.get("graph", "ntu25")).to_dict()
     model_cfg = ModelConfig.from_dict(model_d)
 
-    train_cfg = TrainConfig.from_dict(
-        _merge_train_overrides(dict(file_cfg.get("train", {})), args))
+    train_d = dict(file_cfg.get("train", {}))
+    if args.stream is not None:  # one config file trains every stream
+        train_d["stream"] = args.stream
+    train_cfg = TrainConfig.from_dict(train_d)
 
     bad = [s.label for s in train_seqs + val_seqs
            if not 0 <= s.label < model_cfg.num_classes]
@@ -400,11 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-cache")
     p.add_argument("--config", help="JSON with 'model' and 'train' sections")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--stream", choices=STREAMS)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--stream", choices=STREAMS,
+                   help="overrides the config's train.stream")
     p.set_defaults(func=cmd_train)
 
     # eval and ablate score alike, so ablate's intact row is eval's report

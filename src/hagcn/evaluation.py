@@ -14,14 +14,6 @@ from .ingest import assemble_batch
 from .network import Model
 
 
-def predictions(scores: np.ndarray) -> np.ndarray:
-    """Top-1 class per row; ties resolve to the lowest class index."""
-    scores = np.asarray(scores)
-    if scores.ndim != 2:
-        raise ValueError("scores must be (N, num_classes)")
-    return np.argmax(scores, axis=1)
-
-
 def topk_accuracy(scores, labels, k: int = 1) -> float:
     """Fraction of rows whose label sits in the k best-scored classes.
 
@@ -110,8 +102,8 @@ def ablation_report(model: Model, seqs, stream: str = "joint",
         scores, labels = score_dataset(model, seqs, stream=stream,
                                        batch_size=batch_size,
                                        max_frames=max_frames, disable=mode)
-        pred = predictions(scores)
         report[mode] = {"top1": topk_accuracy(scores, labels)}
+        pred = np.argmax(scores, axis=1)  # ties: lowest index, as topk
         if mode == "none":
             intact = pred
         else:

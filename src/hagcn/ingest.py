@@ -6,6 +6,11 @@ format and per-frame keypoint JSON (18 keypoints, x/y plus confidence). The
 cache format (magic ``HAGD``) stores a sequence count then, per sequence, a
 signed 64-bit label, the four dims as u64 and the coordinates as raw
 little-endian float64.
+
+The parsers and the cache reader all build a ``SkeletonSequence``, the one
+place coordinates are checked: each must be finite and at most ``MAX_COORD``
+in magnitude. A derived stream differences at most four coordinates, so it
+stays finite unchecked; ``derive_stream`` maps plain (M, T, V, C) arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .serialize import _read_exact
 CACHE_MAGIC = b"HAGD"
 STREAMS = ("joint", "bone", "joint_motion", "bone_motion")
 MAX_PERSONS = 2  # persons per frame: what the parsers keep and batches hold
+MAX_COORD = 1e6  # largest |coordinate|; real data is metres or pixels
 
 
 @dataclass
@@ -36,13 +42,10 @@ class SkeletonSequence:
         self.coords = np.asarray(self.coords, dtype=np.float64)
         if self.coords.ndim != 4:
             raise ValueError("coords must be (persons, frames, joints, channels)")
-        if not np.isfinite(self.coords).all():
-            raise FormatError(f"non-finite coordinates in "
-                              f"{self.source_id or 'sequence'}")
-
-    def replace_coords(self, coords) -> "SkeletonSequence":
-        return SkeletonSequence(coords, label=self.label,
-                                source_id=self.source_id)
+        # a NaN maximum fails the comparison too
+        if not np.abs(self.coords).max(initial=0.0) <= MAX_COORD:
+            raise FormatError(f"coordinates non-finite or beyond "
+                              f"{MAX_COORD:g} in {self.source_id or 'sequence'}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,40 +184,40 @@ def parse_openpose_json(text: str, source_id: str = "",
 # stream derivation
 
 
-def to_bone(seq: SkeletonSequence, graph: GraphSpec) -> SkeletonSequence:
+def to_bone(coords: np.ndarray, graph: GraphSpec) -> np.ndarray:
     """Bone stream: each joint minus its tree parent, roots zero.
 
     Only the natural tree defines parents (hub links would give joints two).
     The difference applies to every channel, confidence included.
     """
-    if seq.coords.shape[2] != graph.num_joints:
-        raise ValueError(f"sequence has {seq.coords.shape[2]} joints, "
+    if coords.shape[2] != graph.num_joints:
+        raise ValueError(f"sequence has {coords.shape[2]} joints, "
                          f"graph {graph.num_joints}")
     parents = graph.parents()
     has_parent = parents >= 0
-    bones = np.zeros_like(seq.coords)
-    bones[:, :, has_parent] = (seq.coords[:, :, has_parent]
-                               - seq.coords[:, :, parents[has_parent]])
-    return seq.replace_coords(bones)
+    bones = np.zeros_like(coords)
+    bones[:, :, has_parent] = (coords[:, :, has_parent]
+                               - coords[:, :, parents[has_parent]])
+    return bones
 
 
-def to_motion(seq: SkeletonSequence) -> SkeletonSequence:
+def to_motion(coords: np.ndarray) -> np.ndarray:
     """Frame-difference stream; the final frame's motion is zero."""
-    motion = np.zeros_like(seq.coords)
-    motion[:, :-1] = seq.coords[:, 1:] - seq.coords[:, :-1]
-    return seq.replace_coords(motion)
+    motion = np.zeros_like(coords)
+    motion[:, :-1] = coords[:, 1:] - coords[:, :-1]
+    return motion
 
 
-def derive_stream(seq: SkeletonSequence, stream: str,
-                  graph: GraphSpec) -> SkeletonSequence:
+def derive_stream(coords: np.ndarray, stream: str,
+                  graph: GraphSpec) -> np.ndarray:
     if stream == "joint":
-        return seq
+        return coords
     if stream == "bone":
-        return to_bone(seq, graph)
+        return to_bone(coords, graph)
     if stream == "joint_motion":
-        return to_motion(seq)
+        return to_motion(coords)
     if stream == "bone_motion":
-        return to_motion(to_bone(seq, graph))
+        return to_motion(to_bone(coords, graph))
     raise ValueError(f"unknown stream {stream!r}; choose from {STREAMS}")
 
 
@@ -244,14 +247,14 @@ def assemble_batch(seqs, graph: GraphSpec, stream: str = "joint",
                              f"{seq.coords.shape[2]} joints, the graph "
                              f"{graph.num_joints}")
         labels[n] = seq.label
-        seq = derive_stream(seq, stream, graph)
-        frames = seq.coords.shape[1]
+        coords = derive_stream(seq.coords, stream, graph)
+        frames = coords.shape[1]
         if frames == 0:
             continue
-        m = min(seq.coords.shape[0], MAX_PERSONS)
+        m = min(coords.shape[0], MAX_PERSONS)
         idx = np.arange(max_frames) % frames
         # (M, T, V, C) gathered over frames -> (M, C, T, V)
-        batch[n, :m] = seq.coords[:m, idx].transpose(0, 3, 1, 2)
+        batch[n, :m] = coords[:m, idx].transpose(0, 3, 1, 2)
     return batch, labels
 
 
@@ -296,8 +299,8 @@ def load_cache(path):
     return seqs
 
 
-def prepare_from_manifest(manifest_path, out_path) -> int:
-    """Parse every file named in a manifest into one cache; returns count.
+def read_manifest(manifest_path) -> list:
+    """Parse every file named in a manifest, in manifest order.
 
     Manifest lines: ``relative/path label``, '#' comments allowed. Extension
     picks the parser: .skeleton for the text format, .json for keypoints.
@@ -328,5 +331,4 @@ def prepare_from_manifest(manifest_path, out_path) -> int:
             raise FormatError(f"manifest line {lineno}: unknown extension "
                               f"{path.suffix!r}")
         seqs.append(seq)
-    save_cache(out_path, seqs)
-    return len(seqs)
+    return seqs

@@ -186,18 +186,31 @@ class Model(Layer):
 # checkpoints
 
 
+def _refuse_non_finite(named_arrays) -> None:
+    """Shared by save and load, so no saved value is one load refuses."""
+    for name, arr in named_arrays:
+        if not np.isfinite(arr).all():
+            raise FormatError(f"checkpoint tensor {name} holds non-finite "
+                              f"values")
+
+
 def save_checkpoint(path, model: Model, epoch: int = 0, optimizer=None) -> None:
+    """Write a HAGC checkpoint; a non-finite tensor is refused before the
+    file is opened, so it leaves none."""
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
         "epoch": int(epoch),
     }
+    params = [(n, p.data) for n, p in model.named_params()]
+    buffers = list(model.named_buffers())
     opt_items = optimizer.state_tensors() if optimizer is not None else []
+    _refuse_non_finite(params + buffers + opt_items)
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         write_json_block(f, header)
-        write_named_tensors(f, [(n, p.data) for n, p in model.named_params()])
-        write_named_tensors(f, model.named_buffers())
+        write_named_tensors(f, params)
+        write_named_tensors(f, buffers)
         write_named_tensors(f, opt_items)
 
 
@@ -232,10 +245,8 @@ def load_checkpoint(path):
         buffers = read_named_tensors(f)
         opt_state = read_named_tensors(f)
 
-    for name, arr in [*params.items(), *buffers.items(), *opt_state.items()]:
-        if not np.isfinite(arr).all():
-            raise FormatError(f"checkpoint tensor {name} holds non-finite "
-                              f"values")
+    _refuse_non_finite([*params.items(), *buffers.items(),
+                        *opt_state.items()])
     for kind, stored, targets in (
             ("parameter", params,
              {n: p.data for n, p in model.named_params()}),

@@ -8,9 +8,9 @@ import pytest
 from hagcn import ingest
 from hagcn.errors import FormatError
 from hagcn.graph import GraphSpec, build_graph
-from hagcn.ingest import (SkeletonSequence, assemble_batch, load_cache,
-                          parse_ntu_skeleton, parse_openpose_json,
-                          prepare_from_manifest, save_cache, to_bone, to_motion)
+from hagcn.ingest import (MAX_COORD, SkeletonSequence, assemble_batch,
+                          load_cache, parse_ntu_skeleton, parse_openpose_json,
+                          read_manifest, save_cache, to_bone, to_motion)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -132,37 +132,36 @@ class TestStreams:
     def test_bone_differences(self):
         g = chain_graph(3)
         coords = np.arange(2 * 3 * 3, dtype=float).reshape(1, 2, 3, 3)
-        bones = to_bone(SkeletonSequence(coords), g).coords
+        bones = to_bone(coords, g)
         assert np.array_equal(bones[0, :, 0], np.zeros((2, 3)))  # root
         assert np.array_equal(bones[0, :, 1], coords[0, :, 1] - coords[0, :, 0])
         assert np.array_equal(bones[0, :, 2], coords[0, :, 2] - coords[0, :, 1])
 
     def test_bone_joint_count_mismatch(self):
         with pytest.raises(ValueError, match="joints"):
-            to_bone(SkeletonSequence(np.zeros((1, 1, 5, 3))), chain_graph(3))
+            to_bone(np.zeros((1, 1, 5, 3)), chain_graph(3))
 
     def test_motion_last_valid_frame_zero(self):
         coords = np.zeros((1, 3, 2, 3))
         coords[0, :, 0, 0] = [1.0, 4.0, 9.0]
-        motion = to_motion(SkeletonSequence(coords)).coords
+        motion = to_motion(coords)
         assert np.array_equal(motion[0, :, 0, 0], [3.0, 5.0, 0.0])
 
     def test_motion_empty(self):
-        seq = SkeletonSequence(np.zeros((1, 0, 2, 3)))
-        assert to_motion(seq).coords.shape == (1, 0, 2, 3)
+        assert to_motion(np.zeros((1, 0, 2, 3))).shape == (1, 0, 2, 3)
 
     def test_bone_motion_equals_motion_of_bones(self):
         g = chain_graph(4)
         rng = np.random.default_rng(0)
-        seq = SkeletonSequence(rng.standard_normal((2, 5, 4, 3)))
-        a = ingest.derive_stream(seq, "bone_motion", g).coords
-        b = to_motion(to_bone(seq, g)).coords
+        coords = rng.standard_normal((2, 5, 4, 3))
+        a = ingest.derive_stream(coords, "bone_motion", g)
+        b = to_motion(to_bone(coords, g))
         assert np.array_equal(a, b)
 
     def test_unknown_stream(self):
         with pytest.raises(ValueError, match="unknown stream"):
-            ingest.derive_stream(SkeletonSequence(np.zeros((1, 1, 3, 3))),
-                                 "flow", chain_graph(3))
+            ingest.derive_stream(np.zeros((1, 1, 3, 3)), "flow",
+                                 chain_graph(3))
 
 
 class TestAssemble:
@@ -273,6 +272,53 @@ class TestCache:
         assert load_cache(p)[0].label == -1
 
 
+OVER = float(np.nextafter(MAX_COORD, np.inf))
+
+
+def sequence_with(source, value, tmp_path):
+    """A one-person sequence holding one coordinate ``value``, made from
+    ``source``: a skeleton file, keypoint JSON, a cache or the constructor."""
+    if source == "skeleton":
+        return parse_ntu_skeleton("1\n1\nmeta\n25\n" + f"{value!r} 0 0\n"
+                                  + "0 0 0\n" * 24)
+    if source == "keypoint_json":
+        return parse_openpose_json(json.dumps({"data": [{"skeleton": [
+            {"pose": [value] + [0.0] * 35, "score": [0.5] * 18}]}]}))
+    coords = np.zeros((1, 2, 2, 3))
+    coords[0, 1, 1, 0] = value
+    if source == "cache":
+        p = tmp_path / "edge.hagd"
+        p.write_bytes(b"HAGD" + struct.pack("<QqQQQQ", 1, 0, 1, 2, 2, 3)
+                      + coords.astype("<f8").tobytes())
+        return load_cache(p)[0]
+    return SkeletonSequence(coords)
+
+
+class TestCoordinateBound:
+    @pytest.mark.parametrize("source", ["skeleton", "keypoint_json", "cache",
+                                        "sequence"])
+    @pytest.mark.parametrize("value, ok", [(MAX_COORD, True),
+                                           (-MAX_COORD, True),
+                                           (OVER, False), (-OVER, False)],
+                             ids=["max", "-max", "over", "-over"])
+    def test_edges(self, tmp_path, source, value, ok):
+        if ok:
+            seq = sequence_with(source, value, tmp_path)
+            assert np.abs(seq.coords).max() == MAX_COORD
+        else:
+            with pytest.raises(FormatError, match=r"beyond 1e\+06"):
+                sequence_with(source, value, tmp_path)
+
+    def test_derived_streams_stay_finite_at_the_bound(self):
+        # bone_motion differences four coordinates: at most 4 * MAX_COORD
+        t, j = np.meshgrid(np.arange(4), np.arange(3), indexing="ij")
+        coords = (MAX_COORD * (-1.0) ** (t + j))[None, :, :, None]
+        batch, _ = assemble_batch([SkeletonSequence(coords)], chain_graph(3),
+                                  stream="bone_motion", max_frames=4)
+        assert np.abs(batch).max() == 4 * MAX_COORD
+        assert np.isfinite(np.square(batch).sum())
+
+
 class TestManifest:
     def test_prepare(self, tmp_path):
         (tmp_path / "a.skeleton").write_text(
@@ -281,9 +327,8 @@ class TestManifest:
             (FIXTURES / "sample_pose.json").read_text())
         manifest = tmp_path / "files.txt"
         manifest.write_text("# demo\na.skeleton 3\nb.json 5\n")
-        out = tmp_path / "cache.hagd"
-        assert prepare_from_manifest(manifest, out) == 2
-        seqs = load_cache(out)
+        seqs = read_manifest(manifest)
+        assert len(seqs) == 2
         assert seqs[0].label == 3
         assert seqs[1].label == 7  # label_index in the JSON wins
 
@@ -292,10 +337,10 @@ class TestManifest:
         manifest = tmp_path / "files.txt"
         manifest.write_text("x.csv 0\n")
         with pytest.raises(FormatError, match="extension"):
-            prepare_from_manifest(manifest, tmp_path / "o.hagd")
+            read_manifest(manifest)
 
     def test_bad_label(self, tmp_path):
         manifest = tmp_path / "files.txt"
         manifest.write_text("x.skeleton abc\n")
         with pytest.raises(FormatError, match="label"):
-            prepare_from_manifest(manifest, tmp_path / "o.hagd")
+            read_manifest(manifest)

@@ -10,6 +10,7 @@ from hagcn import tensor as T
 from hagcn.errors import ConfigError, FormatError
 from hagcn.graph import GraphSpec, build_graph
 from hagcn.serialize import write_json_block, write_named_tensors
+from hagcn.training import SGD
 
 from brute import randomize_layer
 
@@ -359,6 +360,21 @@ def test_checkpoint_rejects_non_finite_values(tmp_path):
                 write_named_tensors(f, tensors)
         with pytest.raises(FormatError, match=f"tensor {name} holds non-finite"):
             N.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["fc_w", "data_bn.running_var",
+                                  "velocity.fc_b"])
+def test_save_checkpoint_refuses_non_finite_values(tmp_path, name):
+    # save refuses what load would, before the file is opened
+    model = N.Model(tiny_config(), seed=0)
+    opt = SGD(model, lr=0.1)
+    arrays = {**{n: p.data for n, p in model.named_params()},
+              **dict(model.named_buffers()), **dict(opt.state_tensors())}
+    arrays[name].flat[0] = np.inf
+    path = tmp_path / "m.hagc"
+    with pytest.raises(FormatError, match=f"tensor {name} holds non-finite"):
+        N.save_checkpoint(path, model, optimizer=opt)
+    assert not path.exists()
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
