@@ -50,7 +50,12 @@ def improvement_ratio(acc: float, acc_base: float, ref: float,
 def score_dataset(model: Model, seqs, stream: str = "joint",
                   batch_size: int = 32, max_frames: int = 300,
                   disable: str = "none"):
-    """Eval-mode class probabilities for every sequence, in input order."""
+    """Eval-mode class probabilities for every sequence, in input order.
+
+    Overflowing or invalid arithmetic in the forward pass (a model holding
+    a finite but huge value, say from a checkpoint) raises ValueError
+    instead of scoring with saturated values.
+    """
     if not seqs:
         raise ValueError("no sequences to score")
     if batch_size < 1:
@@ -62,8 +67,13 @@ def score_dataset(model: Model, seqs, stream: str = "joint",
         chunk = seqs[start:start + batch_size]
         x, y = assemble_batch(chunk, graph, stream=stream,
                               max_frames=max_frames)
-        with T.no_grad():
-            probs = model.forward(x, training=False, disable=disable)
+        try:
+            with T.no_grad(), np.errstate(over="raise", invalid="raise",
+                                          divide="raise"):
+                probs = model.forward(x, training=False, disable=disable)
+        except FloatingPointError as e:
+            raise ValueError(f"scoring overflowed ({e}); the model holds "
+                             f"values too large to score") from None
         chunks.append(probs.data)
         labels.append(y)
     return np.concatenate(chunks, axis=0), np.concatenate(labels, axis=0)

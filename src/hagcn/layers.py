@@ -79,13 +79,17 @@ class BatchNorm(Layer):
         self.running_var *= 1.0 - m
         self.running_var += m * var
 
-    def forward(self, x, training: bool, stats_sink=None) -> Tensor:
+    def forward(self, x, training: bool, stats_sink=None,
+                replay_out=None) -> Tensor:
+        """``replay_out`` goes to ``tensor.batch_norm``; the layer keeps no
+        state of a pass, because shard threads share it."""
         if not training:
             return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                                self.running_var, eps=self.eps)
+                                self.running_var, eps=self.eps,
+                                replay_out=replay_out)
         stats = []
         y = T.batch_norm(x, self.gamma, self.beta, eps=self.eps,
-                         stats_out=stats)
+                         stats_out=stats, replay_out=replay_out)
         (mean, var), = stats
         if stats_sink is None:
             self.apply_stats(mean, var)

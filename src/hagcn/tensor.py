@@ -15,10 +15,13 @@ and a closure captures only the arrays and shapes that the formulas for the
 gradients actually needed read. An activation is therefore freed as soon as
 its Tensor and the last closure that reads it are gone, not when the graph
 is. One exception trades memory for arithmetic: a product given
-``recompute_a`` or ``recompute_b`` keeps nothing of that operand and calls
-the function again in backward. The attention's aggregation does so for
+``recompute_a`` or ``recompute_b``, or a conv given ``recompute_x``, keeps
+nothing of that operand and calls the function again in backward (a conv
+pads the replayed input again). The attention's aggregation does so for
 both operands, replaying its value projection and its mask's extension conv
-through ``conv2d`` on arrays the graph keeps anyway. And the graph is
+through ``conv2d`` on arrays the graph keeps anyway. The temporal convs
+replay their batch-normed input from the normalised copy the norm keeps:
+``batch_norm`` hands out that replay through ``replay_out``. And the graph is
 one-shot: ``backward`` drops each closure once it has run, so saved arrays
 free as the walk proceeds, and a second walk over a spent graph raises
 RuntimeError.
@@ -181,6 +184,15 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), back)
 
 
+def _keep_or_replay(data, replay, needed):
+    """What backward reads of an operand: None when no gradient needs it,
+    else a zero-argument function returning its data; ``replay``, when
+    given, rebuilds the data bit for bit so that nothing of it is kept."""
+    if not needed:
+        return None
+    return replay or (lambda: data)
+
+
 def matmul(a, b, recompute_a=None, recompute_b=None) -> Tensor:
     """Matrix product with numpy batch broadcasting; both operands rank >= 2.
 
@@ -195,9 +207,9 @@ def matmul(a, b, recompute_a=None, recompute_b=None) -> Tensor:
     if sa[-1] != sb[-2]:
         raise ValueError(f"matmul inner dimensions differ: {sa} @ {sb}")
     data = np.matmul(a.data, b.data)
-    # a is kept (or recomputed) only for b's gradient, b only for a's
-    get_a = (recompute_a or (lambda d=a.data: d)) if b.requires_grad else None
-    get_b = (recompute_b or (lambda d=b.data: d)) if a.requires_grad else None
+    # a is kept (or replayed) only for b's gradient, b only for a's
+    get_a = _keep_or_replay(a.data, recompute_a, b.requires_grad)
+    get_b = _keep_or_replay(b.data, recompute_b, a.requires_grad)
 
     def back(g):
         ga = gb = None
@@ -214,13 +226,16 @@ def matmul(a, b, recompute_a=None, recompute_b=None) -> Tensor:
 # convolution
 
 
-def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
+def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0,
+           recompute_x=None) -> Tensor:
     """Temporal convolution over (N, C, T, V) input.
 
     The kernel is (C_out, C_in, k_t, 1) and the bias (C_out,); stride,
     dilation and zero padding apply to the temporal axis. Each tap is one
     matmul of its weights with the shifted input seen as (N, C_in, T_out*V),
-    a free view for 1x1 stride-1 convs.
+    a free view for 1x1 stride-1 convs. ``recompute_x``, a zero-argument
+    function returning x's data bit for bit, makes the conv keep nothing of
+    x, padded or not: the weight gradient calls it and pads again.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4:
@@ -241,11 +256,14 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
         raise ValueError("conv2d kernel larger than padded input")
     t_out = (t_pad - dilation * (k_t - 1) - 1) // stride + 1
 
-    if pad:
+    def padded(xd):
+        if not pad:
+            return xd
         xp = np.zeros((n, c_in, t_pad, v), dtype=np.float64)
-        xp[:, :, pad:pad + t, :] = x.data
-    else:
-        xp = x.data
+        xp[:, :, pad:pad + t, :] = xd
+        return xp
+
+    xp = padded(x.data)
     span = (t_out - 1) * stride + 1
     # (k_t, C_out, C_in), contiguous: a strided weight slice misses BLAS
     wk = w.data[:, :, :, 0].transpose(2, 0, 1).copy()
@@ -259,14 +277,17 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
         data += np.matmul(wk[it], tap(xp, it))
     data = data.reshape(n, c_out, t_out, v)
     data += b.data.reshape(1, c_out, 1, 1)
-    # the (padded) input is saved only for dW, the weights only for dx
-    xs = xp if w.requires_grad else None
+    # the (padded) input is kept (or replayed) only for dW, the weights only
+    # for dx
+    replay = None if recompute_x is None else lambda: padded(recompute_x())
+    get_x = _keep_or_replay(xp, replay, w.requires_grad)
     ws = wk if x.requires_grad else None
     w_shape = w.data.shape
 
     def back(g):
         dx = dw = None
-        if xs is not None:
+        if get_x is not None:
+            xs = get_x()
             # dW is one GEMM over all N*T_out*V per tap: per-sample products
             # summed over N round differently, enough to change what desk
             # training learns
@@ -329,6 +350,18 @@ def _scale_shift(xhat, var, eps, gamma_r, beta, out):
     return data, ivar
 
 
+def _affine_replay(xhat, gamma_r, beta):
+    """``_scale_shift``'s output again from the normalised ``xhat``: the same
+    multiply and add on the same arrays, so the same bits."""
+    beta_r = beta.data.reshape(gamma_r.shape)
+
+    def replay():
+        data = xhat * gamma_r
+        data += beta_r
+        return data
+    return replay
+
+
 def _affine_back(g, xhat, gamma_r):
     """Scratch ``g * xhat``, dgamma, dbeta and a fresh dxhat to reuse."""
     t = g * xhat
@@ -338,7 +371,7 @@ def _affine_back(g, xhat, gamma_r):
 
 
 def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
-               stats_out=None) -> Tensor:
+               stats_out=None, replay_out=None) -> Tensor:
     """Per-channel normalization over axes (N, T, V) of a 4-D input.
 
     Without ``mean``/``var`` the batch statistics of ``x`` over (N, T, V)
@@ -347,7 +380,9 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
     ``(mean, var)`` pair of (C,) arrays. With ``mean``/``var`` given, those
     plain (C,) arrays are treated as constants (running statistics at eval
     time). The op never mutates them; the owning layer maintains running
-    state.
+    state. ``replay_out``, a list, receives a zero-argument function that
+    rebuilds the output's data bit for bit from the normalised input the
+    backward keeps anyway, or None when no graph is built.
     """
     x, gamma, beta, gamma_r = _affine_args("batch_norm", x, gamma, beta)
     n, c, t, v = x.data.shape
@@ -359,6 +394,7 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
     if count == 0:
         raise ValueError("batch_norm over an empty batch")
 
+    graph = _needs_grad((x, gamma, beta))
     if batch_stats:
         mean, xhat, out, var = _moments(x.data, axes, count)
         if stats_out is not None:
@@ -367,8 +403,11 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
         xhat = x.data - np.asarray(mean, dtype=np.float64).reshape(gamma_r.shape)
         var = np.asarray(var, dtype=np.float64).reshape(gamma_r.shape)
         # without a graph nothing reads xhat again: the output may overwrite it
-        out = np.empty_like(xhat) if _needs_grad((x, gamma, beta)) else xhat
+        out = np.empty_like(xhat) if graph else xhat
     data, ivar = _scale_shift(xhat, var, eps, gamma_r, beta, out)
+    if replay_out is not None:
+        replay_out.append(_affine_replay(xhat, gamma_r, beta) if graph
+                          else None)
 
     def back(g):
         t, dgamma, dbeta, dx = _affine_back(g, xhat, gamma_r)

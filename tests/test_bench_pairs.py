@@ -1,0 +1,87 @@
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+bp = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bp)
+
+END_TO_END = [{"name": "step_s_p50", "better": "lower", "bound": 0.25},
+              {"name": "seqs_per_s", "better": "higher", "bound": 0.25},
+              {"name": "final_loss", "better": "lower", "bound": 0.1}]
+
+
+def result(sha, step, seqs, loss=0.5, failed=0):
+    """A perfbench result file's fields that the aggregation reads."""
+    return {"correct": not failed, "attempted": 10, "failed": failed,
+            "machine": {"nproc": 2, "src_sha256": sha, "git_commit": None},
+            "metrics": {"step_s_p50": {"value": step},
+                        "seqs_per_s": {"value": seqs},
+                        "final_loss": {"value": loss}}}
+
+
+def canned(change_loss=0.5):
+    steps = [(1.0, 0.8), (1.2, 0.9), (0.9, 1.0), (1.1, 0.7)]
+    return [{"parent": result("aa", p, 1 / p),
+             "change": result("bb", c, 1 / c, loss=change_loss)}
+            for p, c in steps]
+
+
+def test_medians_iqrs_and_wins_per_side():
+    s = bp.summarize(canned(), END_TO_END)
+    step = s["metrics"]["step_s_p50"]
+    assert step["parent"]["median"] == pytest.approx(1.05)
+    assert step["change"]["median"] == pytest.approx(0.85)
+    # inclusive quartiles of 0.9, 1.0, 1.1, 1.2
+    assert step["parent"]["iqr"] == pytest.approx(0.15)
+    assert (step["parent"]["wins"], step["change"]["wins"]) == (1, 3)
+    assert step["relative_change"] == pytest.approx(0.85 / 1.05 - 1)
+    # higher is better for throughput: the same pairs, the same winners
+    seqs = s["metrics"]["seqs_per_s"]
+    assert (seqs["parent"]["wins"], seqs["change"]["wins"]) == (1, 3)
+    assert seqs["change"]["values"] == [1 / 0.8, 1 / 0.9, 1.0, 1 / 0.7]
+    assert step["bound"] == 0.25 and seqs["better"] == "higher"
+
+
+def test_ties_win_for_neither_side():
+    s = bp.summarize(canned(), END_TO_END)
+    loss = s["metrics"]["final_loss"]
+    assert loss["parent"]["wins"] == loss["change"]["wins"] == 0
+    assert loss["relative_change"] == 0.0 and loss["parent"]["iqr"] == 0.0
+
+
+def test_final_loss_must_match_bit_for_bit():
+    assert bp.summarize(canned(), END_TO_END)["final_loss_bitwise_equal"]
+    near = bp.summarize(canned(change_loss=0.5 + 2**-53), END_TO_END)
+    assert not near["final_loss_bitwise_equal"]
+
+
+def test_records_sources_operations_and_machine():
+    pairs = canned()
+    pairs[2]["change"] = result("bb", 1.0, 1.0, failed=3)
+    s = bp.summarize(pairs, END_TO_END)
+    assert s["pairs"] == 4
+    assert s["src_sha256"] == {"parent": "aa", "change": "bb"}
+    assert s["attempted"] == {"parent": 40, "change": 40}
+    assert s["failed"] == {"parent": 0, "change": 3} and not s["correct"]
+    assert s["machine"] == {"nproc": 2}
+
+
+def test_summary_is_json_and_prints(capsys):
+    s = bp.summarize(canned(), END_TO_END)
+    assert json.loads(json.dumps(s)) == s
+    bp.print_summary("desk_train", s)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("desk_train: 4 pairs")
+    assert len(lines) == 2 + len(END_TO_END)
+
+
+def test_rejects_zero_pairs(capsys):
+    with pytest.raises(SystemExit):
+        bp.parse_args(["--against", "HEAD", "--workload", "desk_eval",
+                       "--pairs", "0", "--record", "x.json"])
+    assert "--pairs" in capsys.readouterr().err

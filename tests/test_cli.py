@@ -16,7 +16,7 @@ from hagcn.evaluation import capture_masks, read_mask_csv, read_pgm
 from hagcn.graph import build_graph
 from hagcn.ingest import (SkeletonSequence, assemble_batch, load_cache,
                           save_cache)
-from hagcn.network import load_checkpoint
+from hagcn.network import load_checkpoint, save_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -479,6 +479,23 @@ def test_eval_rejects_oversized_cache_header(trained, tmp_path, capsys):
                 "--out", str(tmp_path / "r.json")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "truncated" in err
+
+
+@pytest.mark.parametrize("name", ["data_bn.gamma",
+                                  "blocks.0.spatial.subsets.0.ra.gamma",
+                                  "blocks.0.spatial.subsets.0.rd.w"])
+def test_eval_refuses_a_checkpoint_that_overflows(trained, tmp_path, capsys,
+                                                  name):
+    # finite, so the checkpoint loads, but too large to score
+    model, epoch, _ = load_checkpoint(trained["ckpt"])
+    dict(model.named_params())[name].data.reshape(-1)[-1] = 1e200
+    ckpt, out = str(tmp_path / "huge.hagc"), tmp_path / "r.json"
+    save_checkpoint(ckpt, model, epoch=epoch)
+    assert run(["eval", "--checkpoint", ckpt, "--cache", trained["val"],
+                "--out", str(out), "--max-frames", "12"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: scoring overflowed") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_eval_mask_sample_bounds(trained, capsys):

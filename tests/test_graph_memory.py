@@ -39,3 +39,11 @@ def test_prints_a_table_with_a_total(capsys):
     assert lines[0] == "model desk  16 sequences of 64 frames"
     assert lines[-1].split()[0] == "total" and float(lines[-1].split()[1]) > 0
     assert all(line.endswith(" MiB") for line in lines[1:])
+
+
+def test_desk_batch_stays_under_150_mib(capsys):
+    # 142.7 MiB while the temporal convs replay their inputs, 175.4 MiB when
+    # they keep them; the shapes are fixed, so the count is deterministic
+    assert gm.main(["--model", "desk"]) == 0
+    total = capsys.readouterr().out.splitlines()[-1].split()
+    assert total[0] == "total" and float(total[1]) < 150

@@ -179,10 +179,10 @@ def test_eval_on_mutated_files_exits_one(valid_files, kind, edits, cut):
     load = load_cache if kind == "hagd" else N.load_checkpoint
     ok = loads_or_format_error(load, raw)
     with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
-        if kind == "hagd":
-            # a cache that loads holds coordinates within ingest.MAX_COORD,
-            # so no norm of the valid model overflows on it
-            warnings.simplefilter("error", RuntimeWarning)
+        # a cache that loads holds coordinates within ingest.MAX_COORD, so no
+        # norm of the valid model overflows on it; a checkpoint that loads
+        # may hold huge values, but scoring refuses overflowing arithmetic
+        warnings.simplefilter("error", RuntimeWarning)
         files = {}
         for name, data in valid_files.items():
             files[name] = os.path.join(d, "f." + name)

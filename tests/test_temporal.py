@@ -1,9 +1,15 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import brute
-from hagcn.tensor import Tensor, grad_check
+from hagcn import tensor as T
+from hagcn.layers import BatchNorm
+from hagcn.tensor import Tensor, backward, grad_check
 from hagcn.temporal import DILATIONS, TemporalBranch, TemporalConv
+from test_graph_memory import gm
+from test_tensor import same_bits
 
 
 def toy_layer(channels=8, stride=1, mode="multiscale", seed=0):
@@ -169,3 +175,79 @@ class TestState:
             return layer.forward(t, training=True, stats_sink=[])
 
         assert grad_check(fn, Tensor(xdata, requires_grad=True)) < 2e-6
+
+
+# (mode, stride) of the temporal convs a block can hold
+REPLAY_CASES = [("multiscale", 1), ("multiscale", 2), ("single", 1)]
+
+
+def normed_stack(mode, stride, seed=20):
+    """A batch norm feeding a temporal conv, as in a block, and an input."""
+    layer = toy_layer(stride=stride, mode=mode, seed=seed)
+    bn = BatchNorm(8)
+    brute.randomize_layer(bn, np.random.default_rng(seed + 1))
+    x = np.random.default_rng(seed + 2).standard_normal((2, 8, 12, 4))
+    return layer, bn, x
+
+
+def stack_forward(layer, bn, x):
+    """The norm's output and the temporal output, the replay passed on."""
+    replay = []
+    y = bn.forward(x, True, [], replay_out=replay)
+    return y, layer.forward(y, True, [], replay[0])
+
+
+def keep_inputs(monkeypatch):
+    """Make every conv keep its input, as before the replay."""
+    conv2d = T.conv2d
+    monkeypatch.setattr(T, "conv2d",
+                        lambda *a, recompute_x=None, **kw: conv2d(*a, **kw))
+
+
+def padded_shapes(mode):
+    if mode == "single":
+        return {(2, 8, 20, 4)}
+    return {(2, 2, 12 + 2 * d, 4) for d in DILATIONS}
+
+
+class TestInputReplay:
+    """No temporal conv keeps its input for the weight gradient: the
+    batch-normed input and each dilated conv's padded ``relu(bn_mid(.))``
+    are replayed in backward."""
+
+    @staticmethod
+    def inputs_alive(mode, stride):
+        layer, bn, x = normed_stack(mode, stride)
+        y, out = stack_forward(layer, bn, Tensor(x, requires_grad=True))
+        ref = weakref.ref(y.data)
+        del y
+        held = {a.shape for node in T._topo(out.node) if node.backward
+                for a in gm._arrays(node.backward)}
+        alive = ref() is not None, bool(held & padded_shapes(mode))
+        assert backward(T.tsum(out))
+        return alive
+
+    @pytest.mark.parametrize("mode,stride", REPLAY_CASES)
+    def test_inputs_die_after_forward(self, mode, stride, monkeypatch):
+        assert self.inputs_alive(mode, stride) == (False, False)
+        keep_inputs(monkeypatch)
+        # the 9x1 conv pads, so it keeps only a padded copy of its input
+        assert self.inputs_alive(mode, stride) == (mode != "single", True)
+
+    @staticmethod
+    def grads(mode, stride):
+        layer, bn, xdata = normed_stack(mode, stride, seed=30)
+        x = Tensor(xdata, requires_grad=True)
+        out = stack_forward(layer, bn, x)[1]
+        c = np.random.default_rng(4).standard_normal(out.data.shape)
+        g = backward(T.tsum(T.mul(out, c)))
+        params = list(layer.named_params()) + list(bn.named_params())
+        return [out.data, g[x.node]] + [g[p.node] for _, p in params]
+
+    @pytest.mark.parametrize("mode,stride", REPLAY_CASES)
+    def test_gradients_match_kept_inputs(self, mode, stride, monkeypatch):
+        got = self.grads(mode, stride)
+        keep_inputs(monkeypatch)
+        want = self.grads(mode, stride)
+        assert len(got) == (6 if mode == "single" else 36)
+        assert all(same_bits(a, b) for a, b in zip(got, want))

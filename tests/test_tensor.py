@@ -11,6 +11,7 @@ from hagcn import serialize
 from hagcn import tensor as T
 from hagcn.errors import FormatError, NondeterminismError
 from hagcn.tensor import Tensor, backward, grad_check
+from test_graph_memory import gm
 
 
 def randt(shape, seed=0, shift=0.0):
@@ -547,6 +548,95 @@ class TestMatmulRecompute:
     def test_operand_is_unreachable_after_forward(self):
         assert not self.run(recompute=True)[0]
         assert self.run(recompute=False)[0]
+
+
+class TestConvRecompute:
+    """``recompute_x`` makes a conv keep nothing of its input, padded or
+    not: the weight gradient calls the function and pads again."""
+
+    @staticmethod
+    def run(recompute, pad=0, stride=1, x_needs_grad=True, w_needs_grad=True):
+        src = randt((2, 3, 11, 4), seed=40)
+        x = T.mul(src, 1.5) if x_needs_grad else Tensor(src.data * 1.5)
+        w = randt((5, 3, 3, 1), seed=41)
+        if not w_needs_grad:
+            w = Tensor(w.data)
+        b = randt((5,), seed=42)
+        calls = []
+
+        def replay():
+            calls.append(1)
+            return src.data * 1.5
+
+        out = T.conv2d(x, w, b, stride=stride, dilation=2, pad=pad,
+                       recompute_x=replay if recompute else None)
+        c = np.random.default_rng(43).standard_normal(out.data.shape)
+        grads = backward(T.tsum(T.mul(out, c)))
+        return (out.data, calls, grads.get(src.node), grads.get(w.node),
+                grads[b.node])
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_the_kept_input(self, pad, stride):
+        got = self.run(recompute=True, pad=pad, stride=stride)
+        want = self.run(recompute=False, pad=pad, stride=stride)
+        assert got[1] == [1] and want[1] == []
+        for i in (0, 2, 3, 4):  # output, dx, dW, db
+            assert got[i] is not None and same_bits(got[i], want[i])
+
+    def test_replay_runs_only_for_the_weight_gradient(self):
+        _, calls, dx, dw, _ = self.run(recompute=True, pad=2,
+                                       w_needs_grad=False)
+        assert calls == [] and dw is None and dx is not None
+        _, calls, dx, dw, _ = self.run(recompute=True, pad=2,
+                                       x_needs_grad=False)
+        assert calls == [1] and dx is None and dw is not None
+
+    def test_no_replay_under_no_grad(self):
+        calls = []
+        x, w, b = randt((2, 3, 6, 4)), randt((5, 3, 3, 1)), randt((5,))
+        with T.no_grad():
+            out = T.conv2d(x, w, b, pad=1,
+                           recompute_x=lambda: calls.append(1))
+        assert out.node is None and calls == []
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("recompute", [False, True])
+    def test_input_is_unreachable_after_forward(self, pad, recompute):
+        x = T.mul(randt((2, 3, 6, 4), seed=44), 1.5)
+        w, b = randt((5, 3, 3, 1), seed=45), randt((5,), seed=46)
+        ref = weakref.ref(x.data)
+        out = T.conv2d(x, w, b, dilation=2, pad=pad,
+                       recompute_x=(lambda: None) if recompute else None)
+        del x
+        # the closure keeps neither the input nor a padded copy of it
+        held = {a.shape for a in gm._arrays(out.node.backward)}
+        kept = ref() is not None or (2, 3, 6 + 2 * pad, 4) in held
+        assert kept != recompute
+
+
+class TestBatchNormReplay:
+    """``replay_out`` receives a function that rebuilds the norm's output
+    bit for bit, or None when no graph is built."""
+
+    @pytest.mark.parametrize("running", [False, True])
+    def test_replay_matches_the_output(self, running):
+        x, gamma, beta = randt((3, 4, 5, 2), seed=47), randt((4,), seed=48), \
+            randt((4,), seed=49)
+        stats = (np.full(4, 0.3), np.full(4, 1.7)) if running else (None, None)
+        replay = []
+        out = T.batch_norm(x, gamma, beta, *stats, replay_out=replay)
+        (fn,) = replay
+        assert same_bits(fn(), out.data) and fn() is not out.data
+
+    @pytest.mark.parametrize("running", [False, True])
+    def test_no_replay_without_a_graph(self, running):
+        x, gamma, beta = randt((3, 4, 5, 2)), randt((4,)), randt((4,))
+        stats = (np.zeros(4), np.ones(4)) if running else (None, None)
+        replay = []
+        with T.no_grad():
+            T.batch_norm(x, gamma, beta, *stats, replay_out=replay)
+        assert replay == [None]
 
 
 class TestSerialization:
