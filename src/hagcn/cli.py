@@ -2,13 +2,13 @@
 
 Exit codes: 0 success, 1 bad input or configuration, 2 runtime failure.
 Errors print a single ``error: ...`` line on stderr. Worker threads for
-gradient shards come from the ``HAGCN_THREADS`` environment variable. Every
-verb runs OpenBLAS on one thread at every ``HAGCN_THREADS``, so trained bits
-and scores do not depend on it or on the core count, and ``eval`` and
-``ablate`` score a model as training validated it. ``main`` first sets the
-allocator to keep freed memory in the process and numpy to ask for no huge
-pages (see ``keep_heap``); ``train`` hands the kept memory back when it
-is done (see ``release_heap``).
+gradient shards and scoring batches come from the ``HAGCN_THREADS``
+environment variable. Every verb runs OpenBLAS on one thread at every
+``HAGCN_THREADS``, so trained bits and scores do not depend on it or on the
+core count, and ``eval`` and ``ablate`` score a model as training validated
+it. ``main`` first sets the allocator to keep freed memory in the process
+and numpy to ask for no huge pages (see ``keep_heap``); ``train`` hands the
+kept memory back when it is done (see ``release_heap``).
 """
 
 from __future__ import annotations
@@ -278,7 +278,8 @@ def cmd_eval(args) -> int:
     scores, labels = score_dataset(model, seqs, stream=args.stream,
                                    batch_size=args.batch_size,
                                    max_frames=args.max_frames,
-                                   disable=args.disable)
+                                   disable=args.disable,
+                                   threads=thread_count())
     k5 = min(5, model.config.num_classes)
     report = {
         "checkpoint": args.checkpoint,
@@ -351,7 +352,8 @@ def cmd_ablate(args) -> int:
     model, _, seqs = _scoring_inputs(args)
     report = ablation_report(model, seqs, stream=args.stream,
                              batch_size=args.batch_size,
-                             max_frames=args.max_frames)
+                             max_frames=args.max_frames,
+                             threads=thread_count())
     report["stream"] = args.stream
     report["count"] = len(seqs)
     with open(args.out, "w") as f:

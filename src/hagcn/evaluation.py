@@ -49,22 +49,26 @@ def improvement_ratio(acc: float, acc_base: float, ref: float,
 
 def score_dataset(model: Model, seqs, stream: str = "joint",
                   batch_size: int = 32, max_frames: int = 300,
-                  disable: str = "none"):
+                  disable: str = "none", threads: int = 1):
     """Eval-mode class probabilities for every sequence, in input order.
 
-    Overflowing or invalid arithmetic in the forward pass (a model holding
-    a finite but huge value, say from a checkpoint) raises ValueError
-    instead of scoring with saturated values.
+    Batches are scored on up to ``threads`` worker threads and concatenated
+    in input order; they share no state in eval mode, so any thread count
+    gives the same bits. Each forward runs without a graph, so it runs an
+    absent person once per batch (see ``Model.forward``). Overflowing or
+    invalid arithmetic in the forward pass (a model holding a finite but
+    huge value, say from a checkpoint) raises ValueError instead of scoring
+    with saturated values.
     """
     if not seqs:
         raise ValueError("no sequences to score")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     graph = model.config.graph
-    chunks = []
-    labels = []
-    for start in range(0, len(seqs), batch_size):
-        chunk = seqs[start:start + batch_size]
+    starts = range(0, len(seqs), batch_size)
+
+    def score(i: int):
+        chunk = seqs[starts[i]:starts[i] + batch_size]
         x, y = assemble_batch(chunk, graph, stream=stream,
                               max_frames=max_frames)
         try:
@@ -74,9 +78,11 @@ def score_dataset(model: Model, seqs, stream: str = "joint",
         except FloatingPointError as e:
             raise ValueError(f"scoring overflowed ({e}); the model holds "
                              f"values too large to score") from None
-        chunks.append(probs.data)
-        labels.append(y)
-    return np.concatenate(chunks, axis=0), np.concatenate(labels, axis=0)
+        return probs.data, y
+
+    scored = T._map_in_threads(score, len(starts), threads)
+    return (np.concatenate([p for p, _ in scored], axis=0),
+            np.concatenate([y for _, y in scored], axis=0))
 
 
 def fuse_scores(score_list, weights=None) -> np.ndarray:
@@ -101,7 +107,8 @@ def fuse_scores(score_list, weights=None) -> np.ndarray:
 
 
 def ablation_report(model: Model, seqs, stream: str = "joint",
-                    batch_size: int = 32, max_frames: int = 300) -> dict:
+                    batch_size: int = 32, max_frames: int = 300,
+                    threads: int = 1) -> dict:
     """Score with each attention branch knocked out at inference time.
 
     Reports top-1 per mode plus, for each knockout, how many predictions
@@ -111,7 +118,8 @@ def ablation_report(model: Model, seqs, stream: str = "joint",
     for mode in DISABLE_CHOICES:  # "none" first: the knockouts compare to it
         scores, labels = score_dataset(model, seqs, stream=stream,
                                        batch_size=batch_size,
-                                       max_frames=max_frames, disable=mode)
+                                       max_frames=max_frames, disable=mode,
+                                       threads=threads)
         report[mode] = {"top1": topk_accuracy(scores, labels)}
         pred = np.argmax(scores, axis=1)  # ties: lowest index, as topk
         if mode == "none":

@@ -6,7 +6,11 @@ strided 1x1 conv. The model folds the person axis into the batch, applies an
 input batch norm over channels, runs the block stack, pools over frames and
 joints, averages person features, applies dropout (training only) and a
 linear classifier. Training mode returns logits; eval mode returns softmax
-probabilities.
+probabilities. An eval forward that builds no graph (every scoring path)
+runs an absent person, a person slot whose input is all zero, once per
+batch and gives every such slot that run's pooled features, bit for bit
+what running each would give; training runs every slot, because its batch
+statistics span absent persons too.
 
 Checkpoints (magic ``HAGC``) embed the config as a JSON block followed by
 named parameter, buffer and optimizer-state tensors, enough to rebuild the
@@ -126,6 +130,26 @@ class Block(Layer):
         return T.relu(T.add(y, r))
 
 
+def _slot_rows(xf: np.ndarray):
+    """Slots to run and each slot's row among them, for a no-graph eval
+    forward of folded (N*M, C, T, V) input; None when every slot holds data.
+
+    Slots whose input bits are all zero (absent persons) share the run of
+    the first of them. In eval mode no slot's features depend on another:
+    batch norm uses running statistics, layer norm works per sample and
+    numpy runs one GEMM per batch slice.
+    """
+    has_data = xf.reshape(len(xf), -1).view(np.uint64).any(axis=1)
+    absent = np.flatnonzero(~has_data)
+    if not absent.size:
+        return None
+    run = has_data
+    run[absent[0]] = True
+    index = np.cumsum(run) - 1
+    index[absent] = index[absent[0]]
+    return run, index
+
+
 class Model(Layer):
     def __init__(self, config: ModelConfig, seed: int = 0):
         rng = np.random.default_rng(seed)
@@ -151,7 +175,8 @@ class Model(Layer):
         Training mode returns logits and applies dropout (an rng is then
         required when the configured rate is nonzero); eval mode returns
         softmax probabilities. ``mask_block``/``mask_out`` capture the three
-        subset masks of one block as plain arrays.
+        subset masks of one block as plain arrays, one row per folded slot
+        ``n * M + m`` even where absent slots share one run.
         """
         x = T.as_tensor(x)
         if x.ndim != 5:
@@ -166,12 +191,22 @@ class Model(Layer):
             raise ValueError("empty batch, person or frame axis")
 
         h = T.reshape(x, (n * m, c, t, v))
+        slots = None if training or T.grad_enabled() else _slot_rows(h.data)
+        masks = mask_out
+        if slots is not None:
+            run, index = slots
+            h = T.as_tensor(h.data[run])
+            masks = None if mask_out is None else []
         h = self.data_bn.forward(h, training, stats_sink)
         for i, blk in enumerate(self.blocks):
             h = blk.forward(h, training, disable=disable,
-                            mask_out=mask_out if i == mask_block else None,
+                            mask_out=masks if i == mask_block else None,
                             stats_sink=stats_sink)
         h = T.tmean(h, axes=(2, 3))  # pool frames and joints
+        if slots is not None:
+            h = T.as_tensor(h.data[index])
+            if mask_out is not None:
+                mask_out.extend(mk[index] for mk in masks)
         h = T.reshape(h, (n, m, h.data.shape[1]))
         h = T.tmean(h, axes=1)  # average person features
         if training and cfg.dropout > 0.0:

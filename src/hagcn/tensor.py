@@ -8,7 +8,9 @@ stride/dilation/padding, batch and layer normalization, pointwise
 nonlinearities, reductions, shape moves, concatenation and inverted dropout.
 ``backward`` walks the nodes in reverse topological order and returns the
 leaf gradients keyed by each leaf's node (``leaf.node``); ``grad_check``
-compares analytic gradients against central differences.
+compares analytic gradients against central differences. ``no_grad`` turns
+graph building off in the current context (``grad_enabled`` reports it);
+training and scoring run their pool threads in copies of that context.
 
 Graph memory follows three rules. A node never holds a Tensor or its data,
 and a closure captures only the arrays and shapes that the formulas for the
@@ -40,6 +42,7 @@ in place when that keeps every operation and its order unchanged.
 from __future__ import annotations
 
 import contextvars
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -108,7 +111,7 @@ class no_grad:
     activation stays alive through the output's node because parameters
     require grad. The mode belongs to the current context: other threads
     keep theirs, and a thread started inside the block builds graphs unless
-    it runs in a copy of this context (``contextvars.copy_context``).
+    it runs in a copy of this context (as ``_map_in_threads`` runs its calls).
     """
 
     def __enter__(self):
@@ -118,6 +121,29 @@ class no_grad:
     def __exit__(self, *exc):
         _grad_enabled.reset(self._token)
         return False
+
+
+def grad_enabled() -> bool:
+    """Whether ops build graph nodes in the current context (see no_grad)."""
+    return _grad_enabled.get()
+
+
+def _map_in_threads(fn, count: int, threads: int) -> list:
+    """``[fn(i) for i in range(count)]``, on up to ``threads`` pool threads.
+
+    Each pooled call runs in its own copy of the caller's context, so it
+    keeps the caller's grad mode and numpy ``errstate`` (a ContextVar in
+    numpy 2); a context cannot be entered by two threads at once. Results
+    come back in index order whichever thread finished first, and the first
+    exception in that order is raised. One thread, or one call, runs inline.
+    Private, so that a tracer wrapping the package's public functions puts
+    no span of its own between a caller and the calls it runs here.
+    """
+    if threads <= 1 or count <= 1:
+        return [fn(i) for i in range(count)]
+    contexts = [contextvars.copy_context() for _ in range(count)]
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(lambda i: contexts[i].run(fn, i), range(count)))
 
 
 def _needs_grad(parents) -> bool:

@@ -15,10 +15,8 @@ bit for bit.
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -149,7 +147,6 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
         shard_rngs = step_rng.spawn(len(shards))
     else:
         shard_rngs = [None] * len(shards)
-    results = [None] * len(shards)
 
     def run(i: int):
         x, y = shards[i]
@@ -158,17 +155,9 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
                                stats_sink=sink)
         loss = cross_entropy(logits, y)
         grads = T.backward(T.mul(loss, len(y) / n_total))
-        results[i] = (grads, sink, float(loss.data), logits.data)
+        return grads, sink, float(loss.data), logits.data
 
-    if threads <= 1 or len(shards) == 1:
-        for i in range(len(shards)):
-            run(i)
-    else:
-        # pool threads start in a fresh context; one copy of the caller's per
-        # shard, because a context cannot be entered by two threads at once
-        contexts = [contextvars.copy_context() for _ in shards]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda i: contexts[i].run(run, i), range(len(shards))))
+    results = T._map_in_threads(run, len(shards), threads)
 
     params = list(model.named_params())
     grads = {}
@@ -400,7 +389,7 @@ def train(model: Model, train_seqs, val_seqs=None,
         if val_seqs:
             scores, val_labels = score_dataset(
                 model, val_seqs, stream=cfg.stream, batch_size=64,
-                max_frames=cfg.max_frames)
+                max_frames=cfg.max_frames, threads=threads)
             val_acc = topk_accuracy(scores, val_labels, 1)
         row = {
             "epoch": epoch,

@@ -85,3 +85,57 @@ def test_rejects_zero_pairs(capsys):
         bp.parse_args(["--against", "HEAD", "--workload", "desk_eval",
                        "--pairs", "0", "--record", "x.json"])
     assert "--pairs" in capsys.readouterr().err
+
+
+def record(**medians):
+    """A record file holding one workload whose change-side medians are
+    ``medians``."""
+    return {"workloads": {"desk_eval": {"metrics": {
+        name: {"change": {"median": v}} for name, v in medians.items()}}}}
+
+
+def test_compare_flags_moves_past_the_bound_the_worse_way():
+    a = record(step_s_p50=1.0, seqs_per_s=100.0, final_loss=0.5)
+    b = record(step_s_p50=1.3, seqs_per_s=130.0, final_loss=0.5)
+    rows = {r[1]: r for r in bp.compare(a, b, END_TO_END)}
+    assert list(rows) == ["step_s_p50", "seqs_per_s", "final_loss"]
+    # slower by 30%, past the 0.25 bound: flagged
+    assert rows["step_s_p50"][2:] == (1.0, 1.3, pytest.approx(0.3), True)
+    # 30% more throughput is better, however far it moves
+    assert rows["seqs_per_s"][4:] == (pytest.approx(0.3), False)
+    assert rows["final_loss"][4:] == (0.0, False)
+    back = {r[1]: r[5] for r in bp.compare(b, a, END_TO_END)}
+    # 1.0 against 1.3 is 23% faster; 100 against 130 is 23% fewer per second
+    assert back == {"step_s_p50": False, "seqs_per_s": False,
+                    "final_loss": False}
+    c = record(step_s_p50=1.0, seqs_per_s=70.0, final_loss=0.5)
+    assert [r[5] for r in bp.compare(a, c, END_TO_END)] == [False, True,
+                                                            False]
+
+
+def test_compare_takes_only_what_both_records_hold(capsys):
+    a = record(step_s_p50=1.0, final_loss=0.0)
+    b = record(step_s_p50=1.0, seqs_per_s=5.0, final_loss=0.1)
+    b["workloads"]["ntu_train"] = b["workloads"]["desk_eval"]
+    rows = bp.compare(a, b, END_TO_END)
+    assert [(r[0], r[1]) for r in rows] == [("desk_eval", "step_s_p50"),
+                                            ("desk_eval", "final_loss")]
+    assert rows[1][4] is None and not rows[1][5]  # no base to divide by
+    bp.print_compare(rows)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3 and out[2].endswith("n/a")
+
+
+def test_compare_runs_nothing(tmp_path, capsys):
+    paths = []
+    for name, step in (("a.json", 1.0), ("b.json", 2.0)):
+        path = tmp_path / name
+        path.write_text(json.dumps(record(step_s_p50=step)))
+        paths.append(str(path))
+    assert bp.main(["--compare", *paths]) == 0
+    assert "WORSE PAST BOUND" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        bp.parse_args(["--compare", *paths, "--workload", "desk_eval"])
+    with pytest.raises(SystemExit):
+        bp.parse_args(["--workload", "desk_eval", "--record", "x.json"])
+    assert "--against" in capsys.readouterr().err

@@ -485,17 +485,36 @@ def test_eval_rejects_oversized_cache_header(trained, tmp_path, capsys):
                                   "blocks.0.spatial.subsets.0.ra.gamma",
                                   "blocks.0.spatial.subsets.0.rd.w"])
 def test_eval_refuses_a_checkpoint_that_overflows(trained, tmp_path, capsys,
-                                                  name):
-    # finite, so the checkpoint loads, but too large to score
+                                                  monkeypatch, name):
+    # finite, so the checkpoint loads, but too large to score; at 2 threads
+    # the batches are scored on pool threads
     model, epoch, _ = load_checkpoint(trained["ckpt"])
     dict(model.named_params())[name].data.reshape(-1)[-1] = 1e200
     ckpt, out = str(tmp_path / "huge.hagc"), tmp_path / "r.json"
     save_checkpoint(ckpt, model, epoch=epoch)
-    assert run(["eval", "--checkpoint", ckpt, "--cache", trained["val"],
-                "--out", str(out), "--max-frames", "12"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: scoring overflowed") and err.count("\n") == 1
-    assert not out.exists()
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HAGCN_THREADS", threads)
+        assert run(["eval", "--checkpoint", ckpt, "--cache", trained["val"],
+                    "--out", str(out), "--max-frames", "12",
+                    "--batch-size", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scoring overflowed") and \
+            err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["eval", "ablate"])
+def test_scoring_reports_ignore_thread_count(trained, tmp_path, monkeypatch,
+                                             verb):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HAGCN_THREADS", threads)
+        out = tmp_path / f"{verb}{threads}.json"
+        assert run([verb, "--checkpoint", trained["ckpt"], "--cache",
+                    trained["val"], "--out", str(out), "--max-frames", "12",
+                    "--batch-size", "2"]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_eval_mask_sample_bounds(trained, capsys):

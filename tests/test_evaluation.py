@@ -118,6 +118,16 @@ def test_score_dataset_batch_size_invariant():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def test_score_dataset_bits_ignore_threads():
+    model, seqs = _scoring_setup()
+    runs = [E.score_dataset(model, seqs, batch_size=2, max_frames=10,
+                            disable="ra", threads=threads)
+            for threads in (1, 2, 3)]
+    for scores, labels in runs[1:]:
+        assert scores.tobytes() == runs[0][0].tobytes()
+        np.testing.assert_array_equal(labels, runs[0][1])
+
+
 def test_score_dataset_validation():
     model, seqs = _scoring_setup()
     with pytest.raises(ValueError, match="no sequences"):
@@ -152,6 +162,19 @@ def test_capture_masks_shape_and_bounds():
         E.capture_masks(model, x, block=5)
     with pytest.raises(ValueError, match="sample"):
         E.capture_masks(model, x, sample=99)
+
+
+def test_capture_masks_of_an_absent_slot_match_every_slot_run():
+    # sample 1 is the absent second person, which capture_masks (no graph)
+    # runs once for the batch; a forward with a graph runs every slot
+    model, seqs = _scoring_setup()
+    x, _ = assemble_batch(seqs[:2], model.config.graph, max_frames=10)
+    oracle = []
+    model.forward(x, training=False, mask_block=0, mask_out=oracle)
+    for sample in (1, 3):
+        masks = E.capture_masks(model, x, block=0, sample=sample)
+        for m, o in zip(masks, oracle):
+            assert m.tobytes() == o[sample].mean(axis=0).tobytes()
 
 
 def test_mask_csv_round_trip_exact(tmp_path):

@@ -9,8 +9,9 @@ from hagcn import network as N
 from hagcn import tensor as T
 from hagcn.errors import ConfigError, FormatError
 from hagcn.graph import GraphSpec, build_graph
+from hagcn.ingest import SkeletonSequence, assemble_batch
 from hagcn.serialize import write_json_block, write_named_tensors
-from hagcn.training import SGD
+from hagcn.training import SGD, make_synthetic
 
 from brute import randomize_layer
 
@@ -208,6 +209,116 @@ def test_disable_choice_changes_eval_scores():
     base = model.forward(x, training=False, disable="none")
     no_rd = model.forward(x, training=False, disable="rd")
     assert not np.array_equal(base.data, no_rd.data)
+
+
+# -- absent persons ---------------------------------------------------------
+# Without a graph, an eval forward runs the person slots whose input is all
+# zero once per batch. The oracle is the same forward with a graph built,
+# which runs every slot; the two must agree byte for byte.
+
+SCORING_STACKS = {"desk": ((8, 8, 16, 16), (1, 1, 2, 1), 20),
+                  # BLAS takes other code paths at NTU widths
+                  "wide": ((64, 64, 128), (1, 1, 2), 32)}
+
+
+def scoring_batches(frames):
+    """Folded-person batches of 25-joint sequences, by kind."""
+    seqs = make_synthetic(2, frames=frames, seed=40, classes=3)
+    pair = SkeletonSequence(np.concatenate([seqs[0].coords,
+                                            seqs[1].coords[:, ::-1]]))
+    empty = SkeletonSequence(np.zeros((1, 0, 25, 3)))
+    graph = build_graph("ntu25")
+    kinds = {"one_person": seqs[:1], "one_person_x3": seqs[2:5],
+             "mixed": [seqs[2], pair, seqs[3], pair],
+             "zero_frames": [seqs[4], empty, pair]}
+    batches = {k: assemble_batch(v, graph, max_frames=frames)[0]
+               for k, v in kinds.items()}
+    batches["all_absent"] = np.zeros((2, 2, 3, frames, 25))
+    return batches
+
+
+@pytest.fixture(scope="module", params=sorted(SCORING_STACKS))
+def scoring_model(request):
+    channels, strides, frames = SCORING_STACKS[request.param]
+    model = N.Model(N.ModelConfig(num_classes=5, graph=build_graph("ntu25"),
+                                  channels=channels, strides=strides,
+                                  dropout=0.0), seed=41)
+    # mild, so that the softmax does not saturate and hide a wrong row
+    rng = np.random.default_rng(42)
+    for _, p in model.named_params():
+        p.data += rng.standard_normal(p.data.shape) * 0.05
+    for name, buf in model.named_buffers():
+        buf[...] = (rng.uniform(0.5, 1.5, buf.shape)
+                    if name.endswith("running_var")
+                    else rng.standard_normal(buf.shape) * 0.1)
+    return model, scoring_batches(frames)
+
+
+@pytest.mark.parametrize("disable", ["none", "rd", "ra"])
+@pytest.mark.parametrize("kind", ["one_person", "one_person_x3", "mixed",
+                                  "zero_frames", "all_absent"])
+def test_no_graph_eval_matches_every_slot_run(scoring_model, kind, disable):
+    model, batches = scoring_model
+    x = batches[kind]
+    oracle = model.forward(x, training=False, disable=disable)
+    assert oracle.node is not None  # the graph was built: every slot ran
+    assert oracle.data.min() > 1e-3
+    with T.no_grad():
+        scored = model.forward(x, training=False, disable=disable)
+    assert scored.data.tobytes() == oracle.data.tobytes()
+
+
+def test_no_graph_eval_runs_one_absent_slot_per_batch(scoring_model,
+                                                      monkeypatch):
+    model, batches = scoring_model
+    ran = []
+    forward = model.data_bn.forward
+
+    def spy(h, *args, **kw):
+        ran.append(len(h.data))
+        return forward(h, *args, **kw)
+
+    monkeypatch.setattr(model.data_bn, "forward", spy)
+    for kind, slots in (("one_person_x3", 4), ("mixed", 7),
+                        ("zero_frames", 4), ("all_absent", 1)):
+        ran.clear()
+        with T.no_grad():
+            model.forward(batches[kind], training=False)
+        assert ran == [slots], kind
+    ran.clear()
+    model.forward(batches["mixed"], training=False)  # with a graph
+    assert ran == [8]
+
+
+def test_no_graph_eval_keeps_folded_slot_mask_numbering(scoring_model):
+    model, batches = scoring_model
+    x = batches["mixed"]  # slots 1 and 5 are absent
+    oracle, scored = [], []
+    model.forward(x, training=False, mask_block=1, mask_out=oracle)
+    with T.no_grad():
+        model.forward(x, training=False, mask_block=1, mask_out=scored)
+    assert len(scored) == 3
+    for o, s in zip(oracle, scored):
+        assert s.shape[0] == 8
+        assert s.tobytes() == o.tobytes()
+
+
+@pytest.mark.parametrize("graph", [True, False])
+def test_training_batch_stats_span_absent_slots(graph):
+    model = N.Model(tiny_config(), seed=43)
+    x = tiny_input(np.random.default_rng(44), n=3)
+    x[1:, 1] = 0.0  # two absent persons, so one could stand for both
+    sink = []
+    if graph:
+        model.forward(x, training=True, stats_sink=sink)
+    else:
+        with T.no_grad():
+            model.forward(x, training=True, stats_sink=sink)
+    layer, mean, var = sink[0]
+    assert layer is model.data_bn
+    folded = x.reshape(6, *x.shape[2:])
+    np.testing.assert_array_equal(mean, folded.mean(axis=(0, 2, 3)))
+    np.testing.assert_array_equal(var, folded.var(axis=(0, 2, 3)))
 
 
 # -- config -----------------------------------------------------------------

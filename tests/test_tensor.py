@@ -739,3 +739,36 @@ class TestNoGrad:
             th.join(10)
         assert not th.is_alive()
         assert y.requires_grad and y.node.parents == (x.node, x.node)
+
+    def test_grad_enabled_follows_no_grad(self):
+        assert T.grad_enabled()
+        with T.no_grad():
+            assert not T.grad_enabled()
+        assert T.grad_enabled()
+
+
+class TestMapInThreads:
+    def seen(self, i):
+        return i, T.grad_enabled(), np.geterr()["over"], threading.get_ident()
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_index_order_and_the_callers_context(self, threads):
+        # grad mode and numpy 2's errstate are ContextVars: a pool thread
+        # would start with the defaults, not the caller's settings
+        with T.no_grad(), np.errstate(over="raise"):
+            out = T._map_in_threads(self.seen, 6, threads)
+        assert [o[:3] for o in out] == [(i, False, "raise") for i in range(6)]
+        assert T.grad_enabled() and np.geterr()["over"] != "raise"
+
+    def test_one_thread_runs_inline(self):
+        out = T._map_in_threads(self.seen, 3, 1)
+        assert {o[3] for o in out} == {threading.get_ident()}
+
+    def test_first_failure_in_index_order_is_raised(self):
+        def fail_odd(i):
+            if i % 2:
+                raise ValueError(f"call {i}")
+            return i
+
+        with pytest.raises(ValueError, match="call 1"):
+            T._map_in_threads(fail_odd, 4, 2)

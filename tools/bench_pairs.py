@@ -16,6 +16,13 @@ workloads already in it are kept):
 
     python3 tools/bench_pairs.py --against HEAD~1 --workload ntu_train \\
         --pairs 10 --record BENCH_<label>.json
+
+``--compare A.json B.json`` runs nothing. For each workload and end-to-end
+metric both records hold, it prints the change side's median in A and in B
+and B's relative change, and flags a move past ``BENCHMARK.json``'s bound in
+the metric's worse direction:
+
+    python3 tools/bench_pairs.py --compare BENCH_17.json BENCH_18.json
 """
 
 from __future__ import annotations
@@ -39,15 +46,24 @@ SIDES = ("parent", "change")
 
 def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    p.add_argument("--against", required=True, metavar="REV",
+    p.add_argument("--against", metavar="REV",
                    help="git revision whose src/ is the parent side")
-    p.add_argument("--workload", required=True, choices=WORKLOADS)
+    p.add_argument("--workload", choices=WORKLOADS)
     p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--record", required=True, metavar="FILE",
+    p.add_argument("--record", metavar="FILE",
                    help="JSON file to add the workload's summary to")
     p.add_argument("--work-dir", default=tempfile.gettempdir(),
                    help="where the per-run directories are made")
+    p.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                   help="diff two record files instead of running")
     args = p.parse_args(argv)
+    if args.compare:
+        if args.against or args.workload or args.record:
+            p.error("--compare takes no --against, --workload or --record")
+        return args
+    for flag in ("against", "workload", "record"):
+        if getattr(args, flag) is None:
+            p.error(f"--{flag} is required unless --compare is given")
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     return args
@@ -147,10 +163,47 @@ def print_summary(workload, summary):
               f"{p['wins']:4d}/{c['wins']:<4d} {m['bound']:6g}")
 
 
+def compare(a, b, end_to_end) -> list:
+    """One row per workload and end-to-end metric that records ``a`` and
+    ``b`` both hold: (workload, metric, a's change-side median, b's, b's
+    relative change or None, whether it moved past the bound in the worse
+    direction)."""
+    rows = []
+    for workload in sorted(set(a["workloads"]) & set(b["workloads"])):
+        ma = a["workloads"][workload]["metrics"]
+        mb = b["workloads"][workload]["metrics"]
+        for m in end_to_end:
+            name = m["name"]
+            if name not in ma or name not in mb:
+                continue
+            va, vb = ma[name]["change"]["median"], mb[name]["change"]["median"]
+            rel = (vb - va) / va if va else None
+            sign = 1 if m["better"] == "lower" else -1
+            rows.append((workload, name, va, vb, rel,
+                         rel is not None and sign * rel > m["bound"]))
+    return rows
+
+
+def print_compare(rows):
+    print(f"{'workload':10s} {'metric':12s} {'A':>11s} {'B':>11s} "
+          f"{'change':>8s}")
+    for workload, name, va, vb, rel, flagged in rows:
+        print(f"{workload:10s} {name:12s} {va:11.5g} {vb:11.5g} "
+              f"{'n/a' if rel is None else f'{rel:+.1%}':>8s}"
+              f"{'  WORSE PAST BOUND' if flagged else ''}")
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
+    if args.compare:
+        records = []
+        for path in args.compare:
+            with open(path) as f:
+                records.append(json.load(f))
+        print_compare(compare(*records, bench["end_to_end"]))
+        return 0
     perfbench = _archive("HEAD", "perfbench")
     parent_src = _archive(args.against, "src")
     os.makedirs(args.work_dir, exist_ok=True)
