@@ -93,10 +93,8 @@ class SubsetAttention(Layer):
         self.extension_conv = extension_conv
         self.c_inter = cm
 
-    def final_mask(self, x, disable: str = "none") -> tuple:
-        """The learned-plus-base mask actually used for aggregation, and a
-        function that rebuilds its data bit for bit from arrays the
-        extension conv's gradient keeps anyway (None without that conv)."""
+    def final_mask(self, x, disable: str = "none") -> Tensor:
+        """The learned-plus-base mask actually used for aggregation."""
         terms = []
         if self.branches in ("hybrid", "rd") and disable != "rd":
             terms.append(rd_mask(self.rd.forward(x)))
@@ -111,26 +109,18 @@ class SubsetAttention(Layer):
         learned = terms[0] if len(terms) == 1 else T.add(terms[0], terms[1])
         a_fin = T.add(learned, self.a_base)
         if not self.extension_conv:
-            return T.tmean(a_fin, axes=1, keepdims=True), None
-        ad, wd, bd = a_fin.data, self.ext_w.data, self.ext_b.data
-        return (T.conv2d(a_fin, self.ext_w, self.ext_b),
-                lambda: T.conv2d(ad, wd, bd).data)
+            return T.tmean(a_fin, axes=1, keepdims=True)
+        return T.conv2d(a_fin, self.ext_w, self.ext_b)
 
     def forward(self, x, disable: str = "none") -> tuple:
-        mask, replay = self.final_mask(x, disable)
+        mask = self.final_mask(x, disable)
         val = T.conv2d(x, self.val_w, self.val_b)
-        # y[n,c,t,i] = sum_j mask[n,c,i,j] * val[n,c,t,j]; the mask gradient
-        # replays the conv on plain arrays (no graph node, the same bits)
-        # instead of keeping N*C_out*T*V floats, and the value gradient
-        # replays the extension conv instead of keeping N*C_out*V*V. The
-        # convs and the product stay separate nodes so the flows into x keep
-        # their order.
-        xd, wd, bd = x.data, self.val_w.data, self.val_b.data
-        mask_t = None if replay is None else (
-            lambda: replay().transpose(0, 1, 3, 2))
-        out = T.matmul(val, T.transpose(mask, (0, 1, 3, 2)),
-                       recompute_a=lambda: T.conv2d(xd, wd, bd).data,
-                       recompute_b=mask_t)
+        # y[n,c,t,i] = sum_j mask[n,c,i,j] * val[n,c,t,j]. Both factors are
+        # conv outputs, so the product keeps neither: the mask gradient
+        # replays the value projection (N*C_out*T*V floats) and the value
+        # gradient the extension conv (N*C_out*V*V). The convs and the
+        # product stay separate nodes so the flows into x keep their order.
+        out = T.matmul(val, T.transpose(mask, (0, 1, 3, 2)))
         return out, mask
 
 

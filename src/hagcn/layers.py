@@ -79,17 +79,13 @@ class BatchNorm(Layer):
         self.running_var *= 1.0 - m
         self.running_var += m * var
 
-    def forward(self, x, training: bool, stats_sink=None,
-                replay_out=None) -> Tensor:
-        """``replay_out`` goes to ``tensor.batch_norm``; the layer keeps no
-        state of a pass, because shard threads share it."""
+    def forward(self, x, training: bool, stats_sink=None) -> Tensor:
         if not training:
             return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                                self.running_var, eps=self.eps,
-                                replay_out=replay_out)
+                                self.running_var, eps=self.eps)
         stats = []
         y = T.batch_norm(x, self.gamma, self.beta, eps=self.eps,
-                         stats_out=stats, replay_out=replay_out)
+                         stats_out=stats)
         (mean, var), = stats
         if stats_sink is None:
             self.apply_stats(mean, var)

@@ -118,10 +118,8 @@ class Block(Layer):
     def forward(self, x, training: bool, disable: str = "none",
                 mask_out=None, stats_sink=None):
         y = self.spatial.forward(x, disable=disable, mask_out=mask_out)
-        replay = []
-        y = self.bn_s.forward(y, training, stats_sink, replay_out=replay)
-        y = self.temporal.forward(y, training, stats_sink,
-                                  recompute_x=replay[0])
+        y = self.bn_s.forward(y, training, stats_sink)
+        y = self.temporal.forward(y, training, stats_sink)
         y = self.bn_t.forward(y, training, stats_sink)
         if self.res_w is None:
             r = x

@@ -7,10 +7,8 @@ the block's stride (batch norm, no activation); branch outputs concatenate
 back to C channels, so output channel slice [b*C/4, (b+1)*C/4) belongs to
 dilation b+1. Single mode is one 9x1 conv with padding 4.
 
-No conv here keeps its input for the weight gradient. The caller passes a
-replay of the block's batch-normed input (``recompute_x``), and each
-dilated conv replays ``relu(bn_mid(.))`` from what ``bn_mid`` and the
-batch norm before it keep anyway.
+Every conv here reads a batch norm's output, or relu of one, so none keeps
+its input for the weight gradient: the engine replays it (see ``tensor``).
 """
 
 from __future__ import annotations
@@ -36,26 +34,12 @@ class TemporalBranch(Layer):
         self.dilation = dilation
         self.stride = stride
 
-    def forward(self, x, training: bool, stats_sink=None, recompute_x=None):
-        y = T.conv2d(x, self.reduce_w, self.reduce_b, recompute_x=recompute_x)
-        replay = []
-        y = T.relu(self.bn_mid.forward(y, training, stats_sink,
-                                       replay_out=replay))
+    def forward(self, x, training: bool, stats_sink=None):
+        y = T.conv2d(x, self.reduce_w, self.reduce_b)
+        y = T.relu(self.bn_mid.forward(y, training, stats_sink))
         y = T.conv2d(x=y, w=self.conv_w, b=self.conv_b, stride=self.stride,
-                     dilation=self.dilation, pad=self.dilation,
-                     recompute_x=_relu_replay(replay[0]))
+                     dilation=self.dilation, pad=self.dilation)
         return self.bn_out.forward(y, training, stats_sink)
-
-
-def _relu_replay(replay):
-    """relu's own formula on a replayed input, or None without a replay."""
-    if replay is None:
-        return None
-
-    def relu():
-        z = replay()
-        return np.where(z > 0, z, 0.0)
-    return relu
 
 
 class TemporalConv(Layer):
@@ -75,11 +59,8 @@ class TemporalConv(Layer):
             self.branches = [TemporalBranch(channels, channels // 4, d, stride, rng)
                              for d in DILATIONS]
 
-    def forward(self, x, training: bool, stats_sink=None, recompute_x=None):
-        """``recompute_x`` rebuilds ``x``'s data bit for bit; every conv that
-        reads x calls it in backward instead of keeping x."""
+    def forward(self, x, training: bool, stats_sink=None):
         if self.mode_single:
-            return T.conv2d(x, self.w, self.b, stride=self.stride, pad=4,
-                            recompute_x=recompute_x)
-        return T.concat([br.forward(x, training, stats_sink, recompute_x)
+            return T.conv2d(x, self.w, self.b, stride=self.stride, pad=4)
+        return T.concat([br.forward(x, training, stats_sink)
                          for br in self.branches], axis=1)

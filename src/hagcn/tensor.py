@@ -12,21 +12,21 @@ compares analytic gradients against central differences. ``no_grad`` turns
 graph building off in the current context (``grad_enabled`` reports it);
 training and scoring run their pool threads in copies of that context.
 
-Graph memory follows three rules. A node never holds a Tensor or its data,
+Graph memory follows two rules. A node never holds a Tensor or its data,
 and a closure captures only the arrays and shapes that the formulas for the
 gradients actually needed read. An activation is therefore freed as soon as
 its Tensor and the last closure that reads it are gone, not when the graph
-is. One exception trades memory for arithmetic: a product given
-``recompute_a`` or ``recompute_b``, or a conv given ``recompute_x``, keeps
-nothing of that operand and calls the function again in backward (a conv
-pads the replayed input again). The attention's aggregation does so for
-both operands, replaying its value projection and its mask's extension conv
-through ``conv2d`` on arrays the graph keeps anyway. The temporal convs
-replay their batch-normed input from the normalised copy the norm keeps:
-``batch_norm`` hands out that replay through ``replay_out``. And the graph is
-one-shot: ``backward`` drops each closure once it has run, so saved arrays
-free as the walk proceeds, and a second walk over a spent graph raises
-RuntimeError.
+is. Where an operand can be rebuilt from arrays the graph keeps anyway, it
+is not kept at all: an op output that carries a ``replay``, a zero-argument
+function returning its data bit for bit, is read through that function in
+backward, and no op keeps an operand that has one. A batch norm's output
+replays its affine step on the normalised input it keeps; a conv's output
+reruns the conv on its input's replay or kept input (padding it again);
+relu and transpose outputs replay only when their input does. So a conv
+after a batch norm, and an attention product of two conv outputs, keep
+nothing of those inputs. The graph is also one-shot: ``backward`` drops
+each closure once it has run, so saved arrays free as the walk proceeds,
+and a second walk over a spent graph raises RuntimeError.
 
 Closures read parameter arrays live, never copies, so a parameter must not
 change between a forward pass and its backward.
@@ -52,12 +52,14 @@ from .errors import NondeterminismError
 class Tensor:
     """An ndarray plus, when gradients are required, its graph node."""
 
-    __slots__ = ("data", "node")
+    __slots__ = ("data", "node", "replay")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         # a leaf's node exists from the start: shard threads share parameters
         self.node = Node((), None) if requires_grad else None
+        # rebuilds ``data`` bit for bit from arrays the graph keeps, or None
+        self.replay = None
 
     @property
     def requires_grad(self) -> bool:
@@ -158,6 +160,14 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
+def _replayed(out: Tensor, replay) -> Tensor:
+    """``out``, given ``replay`` when it has a graph node: without one no
+    closure reads it, so nothing needs rebuilding."""
+    if out.node is not None:
+        out.replay = replay
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum g over the axes numpy broadcast to reach it, back down to shape."""
     extra = g.ndim - len(shape)
@@ -199,33 +209,31 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
     sa, sb = a.data.shape, b.data.shape
-    # each factor is saved only for the other's gradient
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
+    # each factor is read only for the other's gradient
+    get_a = _reader(a, b.requires_grad)
+    get_b = _reader(b, a.requires_grad)
 
     def back(g):
-        return (None if bd is None else _unbroadcast(g * bd, sa),
-                None if ad is None else _unbroadcast(g * ad, sb))
+        return (None if get_b is None else _unbroadcast(g * get_b(), sa),
+                None if get_a is None else _unbroadcast(g * get_a(), sb))
 
     return _make(data, (a, b), back)
 
 
-def _keep_or_replay(data, replay, needed):
-    """What backward reads of an operand: None when no gradient needs it,
-    else a zero-argument function returning its data; ``replay``, when
-    given, rebuilds the data bit for bit so that nothing of it is kept."""
+def _reader(x: Tensor, needed: bool = True):
+    """What backward reads of operand ``x``: None when no gradient needs it,
+    else ``x.replay`` when it has one, so that nothing of x is kept, else a
+    function returning the kept data."""
     if not needed:
         return None
-    return replay or (lambda: data)
+    if x.replay is not None:
+        return x.replay
+    data = x.data
+    return lambda: data
 
 
-def matmul(a, b, recompute_a=None, recompute_b=None) -> Tensor:
-    """Matrix product with numpy batch broadcasting; both operands rank >= 2.
-
-    ``recompute_a``, a zero-argument function returning ``a``'s data bit for
-    bit, makes the product keep nothing of ``a``: b's gradient calls it
-    instead. ``recompute_b`` does the same for ``b`` and a's gradient.
-    """
+def matmul(a, b) -> Tensor:
+    """Matrix product with numpy batch broadcasting; both operands rank >= 2."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
@@ -233,9 +241,9 @@ def matmul(a, b, recompute_a=None, recompute_b=None) -> Tensor:
     if sa[-1] != sb[-2]:
         raise ValueError(f"matmul inner dimensions differ: {sa} @ {sb}")
     data = np.matmul(a.data, b.data)
-    # a is kept (or replayed) only for b's gradient, b only for a's
-    get_a = _keep_or_replay(a.data, recompute_a, b.requires_grad)
-    get_b = _keep_or_replay(b.data, recompute_b, a.requires_grad)
+    # a is read only for b's gradient, b only for a's
+    get_a = _reader(a, b.requires_grad)
+    get_b = _reader(b, a.requires_grad)
 
     def back(g):
         ga = gb = None
@@ -252,16 +260,14 @@ def matmul(a, b, recompute_a=None, recompute_b=None) -> Tensor:
 # convolution
 
 
-def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0,
-           recompute_x=None) -> Tensor:
+def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
     """Temporal convolution over (N, C, T, V) input.
 
     The kernel is (C_out, C_in, k_t, 1) and the bias (C_out,); stride,
     dilation and zero padding apply to the temporal axis. Each tap is one
     matmul of its weights with the shifted input seen as (N, C_in, T_out*V),
-    a free view for 1x1 stride-1 convs. ``recompute_x``, a zero-argument
-    function returning x's data bit for bit, makes the conv keep nothing of
-    x, padded or not: the weight gradient calls it and pads again.
+    a free view for 1x1 stride-1 convs. The output replays by running the
+    conv again on its input's replay or kept input.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4:
@@ -281,6 +287,10 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0,
     if t_pad < dilation * (k_t - 1) + 1 or v < 1:
         raise ValueError("conv2d kernel larger than padded input")
     t_out = (t_pad - dilation * (k_t - 1) - 1) // stride + 1
+    span = (t_out - 1) * stride + 1
+    # (k_t, C_out, C_in), contiguous: a strided weight slice misses BLAS
+    wk = w.data[:, :, :, 0].transpose(2, 0, 1).copy()
+    bias = b.data.reshape(1, c_out, 1, 1)
 
     def padded(xd):
         if not pad:
@@ -289,31 +299,29 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0,
         xp[:, :, pad:pad + t, :] = xd
         return xp
 
-    xp = padded(x.data)
-    span = (t_out - 1) * stride + 1
-    # (k_t, C_out, C_in), contiguous: a strided weight slice misses BLAS
-    wk = w.data[:, :, :, 0].transpose(2, 0, 1).copy()
-
     def tap(src, it):
         t0 = it * dilation
         return src[:, :, t0:t0 + span:stride].reshape(n, c_in, t_out * v)
 
-    data = np.matmul(wk[0], tap(xp, 0))
-    for it in range(1, k_t):
-        data += np.matmul(wk[it], tap(xp, it))
-    data = data.reshape(n, c_out, t_out, v)
-    data += b.data.reshape(1, c_out, 1, 1)
-    # the (padded) input is kept (or replayed) only for dW, the weights only
-    # for dx
-    replay = None if recompute_x is None else lambda: padded(recompute_x())
-    get_x = _keep_or_replay(xp, replay, w.requires_grad)
+    def run(xd):
+        xp = padded(xd)
+        data = np.matmul(wk[0], tap(xp, 0))
+        for it in range(1, k_t):
+            data += np.matmul(wk[it], tap(xp, it))
+        data = data.reshape(n, c_out, t_out, v)
+        data += bias
+        return data
+
+    # the input is read only for dW and the replay, the weights only for dx
+    get_x = _reader(x)
+    dw_x = get_x if w.requires_grad else None
     ws = wk if x.requires_grad else None
     w_shape = w.data.shape
 
     def back(g):
         dx = dw = None
-        if get_x is not None:
-            xs = get_x()
+        if dw_x is not None:
+            xs = padded(dw_x())
             # dW is one GEMM over all N*T_out*V per tap: per-sample products
             # summed over N round differently, enough to change what desk
             # training learns
@@ -335,7 +343,8 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0,
                 dx = dxp[:, :, pad:pad + t, :] if pad else dxp
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    return _make(data, (x, w, b), back)
+    return _replayed(_make(run(x.data), (x, w, b), back),
+                     lambda: run(get_x()))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +406,7 @@ def _affine_back(g, xhat, gamma_r):
 
 
 def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
-               stats_out=None, replay_out=None) -> Tensor:
+               stats_out=None) -> Tensor:
     """Per-channel normalization over axes (N, T, V) of a 4-D input.
 
     Without ``mean``/``var`` the batch statistics of ``x`` over (N, T, V)
@@ -406,9 +415,8 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
     ``(mean, var)`` pair of (C,) arrays. With ``mean``/``var`` given, those
     plain (C,) arrays are treated as constants (running statistics at eval
     time). The op never mutates them; the owning layer maintains running
-    state. ``replay_out``, a list, receives a zero-argument function that
-    rebuilds the output's data bit for bit from the normalised input the
-    backward keeps anyway, or None when no graph is built.
+    state. The output replays its affine step on the normalised input the
+    backward keeps anyway.
     """
     x, gamma, beta, gamma_r = _affine_args("batch_norm", x, gamma, beta)
     n, c, t, v = x.data.shape
@@ -431,9 +439,6 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
         # without a graph nothing reads xhat again: the output may overwrite it
         out = np.empty_like(xhat) if graph else xhat
     data, ivar = _scale_shift(xhat, var, eps, gamma_r, beta, out)
-    if replay_out is not None:
-        replay_out.append(_affine_replay(xhat, gamma_r, beta) if graph
-                          else None)
 
     def back(g):
         t, dgamma, dbeta, dx = _affine_back(g, xhat, gamma_r)
@@ -450,7 +455,8 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
             dx *= ivar
         return dx, dgamma, dbeta
 
-    return _make(data, (x, gamma, beta), back)
+    return _replayed(_make(data, (x, gamma, beta), back),
+                     _affine_replay(xhat, gamma_r, beta))
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -481,13 +487,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def relu(x) -> Tensor:
+    """max(x, 0); the output replays when the input does."""
     x = as_tensor(x)
     mask = x.data > 0
 
     def back(g):
         return (g * mask,)
 
-    return _make(np.where(mask, x.data, 0.0), (x,), back)
+    out = _make(np.where(mask, x.data, 0.0), (x,), back)
+    if x.replay is None:
+        return out
+    get_x = x.replay
+    return _replayed(out, lambda: np.where(mask, get_x(), 0.0))
 
 
 def tanh(x) -> Tensor:
@@ -609,7 +620,11 @@ def transpose(x, axes) -> Tensor:
     def back(g):
         return (g.transpose(inv),)
 
-    return _make(x.data.transpose(axes), (x,), back)
+    out = _make(x.data.transpose(axes), (x,), back)
+    if x.replay is None:
+        return out
+    get_x = x.replay
+    return _replayed(out, lambda: get_x().transpose(axes))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

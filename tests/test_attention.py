@@ -76,8 +76,8 @@ class TestSubsetBehaviour:
         brute.randomize_layer(sub, np.random.default_rng(8))
         sub.alpha.data[...] = 0.0
         x = toy_input()
-        full = sub.final_mask(x, disable="none")[0].data
-        no_ra = sub.final_mask(x, disable="ra")[0].data
+        full = sub.final_mask(x, disable="none").data
+        no_ra = sub.final_mask(x, disable="ra").data
         assert np.array_equal(full, no_ra)
 
     def test_disable_rd_leaves_scaled_ra(self):
@@ -86,7 +86,7 @@ class TestSubsetBehaviour:
                               extension_conv=False)
         brute.randomize_layer(sub, np.random.default_rng(10))
         x = toy_input()
-        got = sub.final_mask(x, disable="rd")[0].data
+        got = sub.final_mask(x, disable="rd").data
         f = sub.ra.forward(x)
         expect = (float(sub.alpha.data) * ra_mask(f).data).mean(axis=1,
                                                                 keepdims=True)
@@ -97,7 +97,7 @@ class TestSubsetBehaviour:
         base = np.random.default_rng(0).random((5, 5))
         sub = SubsetAttention(3, 6, base, rng, branches="rd",
                               extension_conv=False)
-        got = sub.final_mask(toy_input(), disable="rd")[0].data
+        got = sub.final_mask(toy_input(), disable="rd").data
         assert got.shape == (2, 1, 5, 5)
         assert np.allclose(got, base[None, None], atol=1e-15)
 
@@ -114,7 +114,7 @@ class TestSubsetBehaviour:
     def test_extension_off_shares_mask_across_channels(self):
         rng = np.random.default_rng(13)
         sub = SubsetAttention(3, 6, np.eye(5), rng, extension_conv=False)
-        mask = sub.final_mask(toy_input())[0].data
+        mask = sub.final_mask(toy_input()).data
         assert mask.shape == (2, 1, 5, 5)
 
     def test_bad_branch_mode(self):
@@ -254,8 +254,9 @@ class TestValueRecompute:
         sub, xdata = skeleton_unit(width, seed=3)
 
         def plain(x):
-            mask, _ = sub.final_mask(x)
+            mask = sub.final_mask(x)
             val = T.conv2d(x, sub.val_w, sub.val_b)
+            mask.replay = val.replay = None  # the product keeps both
             return T.matmul(val, T.transpose(mask, (0, 1, 3, 2)))
 
         _, got = unit_grads(sub, xdata, lambda x: sub.forward(x)[0])
@@ -267,11 +268,10 @@ class TestValueRecompute:
 def kept_mask_product(sub):
     """The aggregation with the value replay but the mask kept."""
     def forward(x):
-        mask, _ = sub.final_mask(x)
+        mask = sub.final_mask(x)
         val = T.conv2d(x, sub.val_w, sub.val_b)
-        xd, wd, bd = x.data, sub.val_w.data, sub.val_b.data
-        return T.matmul(val, T.transpose(mask, (0, 1, 3, 2)),
-                        recompute_a=lambda: T.conv2d(xd, wd, bd).data)
+        mask.replay = None
+        return T.matmul(val, T.transpose(mask, (0, 1, 3, 2)))
     return forward
 
 
@@ -296,8 +296,8 @@ class TestMaskRecompute:
     @pytest.mark.parametrize("width", sorted(UNIT_WIDTHS))
     def test_shared_mask_without_extension_conv(self, width):
         sub, xdata = skeleton_unit(width, seed=6, extension_conv=False)
-        mask, replay = sub.final_mask(Tensor(xdata))
-        assert mask.data.shape == (2, 1, 25, 25) and replay is None
+        mask = sub.final_mask(Tensor(xdata, requires_grad=True))
+        assert mask.data.shape == (2, 1, 25, 25) and mask.replay is None
         got_out, got = unit_grads(sub, xdata, lambda x: sub.forward(x)[0])
         want_out, want = unit_grads(sub, xdata, kept_mask_product(sub))
         assert len(got) == 1 + len(list(sub.named_params())) == 12

@@ -87,11 +87,14 @@ def test_rejects_zero_pairs(capsys):
     assert "--pairs" in capsys.readouterr().err
 
 
-def record(**medians):
-    """A record file holding one workload whose change-side medians are
-    ``medians``."""
-    return {"workloads": {"desk_eval": {"metrics": {
-        name: {"change": {"median": v}} for name, v in medians.items()}}}}
+def record(rel=0.01, wins=(3, 7), **medians):
+    """A record file holding one workload of 10 pairs whose change-side
+    medians are ``medians``; in the file's own pairs each metric moved by
+    ``rel`` and the (parent, change) sides won ``wins``."""
+    return {"workloads": {"desk_eval": {"pairs": 10, "metrics": {
+        name: {"relative_change": rel, "parent": {"wins": wins[0]},
+               "change": {"median": v, "wins": wins[1]}}
+        for name, v in medians.items()}}}}
 
 
 def test_compare_flags_moves_past_the_bound_the_worse_way():
@@ -100,10 +103,10 @@ def test_compare_flags_moves_past_the_bound_the_worse_way():
     rows = {r[1]: r for r in bp.compare(a, b, END_TO_END)}
     assert list(rows) == ["step_s_p50", "seqs_per_s", "final_loss"]
     # slower by 30%, past the 0.25 bound: flagged
-    assert rows["step_s_p50"][2:] == (1.0, 1.3, pytest.approx(0.3), True)
+    assert rows["step_s_p50"][2:6] == (1.0, 1.3, pytest.approx(0.3), True)
     # 30% more throughput is better, however far it moves
-    assert rows["seqs_per_s"][4:] == (pytest.approx(0.3), False)
-    assert rows["final_loss"][4:] == (0.0, False)
+    assert rows["seqs_per_s"][4:6] == (pytest.approx(0.3), False)
+    assert rows["final_loss"][4:6] == (0.0, False)
     back = {r[1]: r[5] for r in bp.compare(b, a, END_TO_END)}
     # 1.0 against 1.3 is 23% faster; 100 against 130 is 23% fewer per second
     assert back == {"step_s_p50": False, "seqs_per_s": False,
@@ -123,7 +126,22 @@ def test_compare_takes_only_what_both_records_hold(capsys):
     assert rows[1][4] is None and not rows[1][5]  # no base to divide by
     bp.print_compare(rows)
     out = capsys.readouterr().out.splitlines()
-    assert len(out) == 3 and out[2].endswith("n/a")
+    assert len(out) == 4 and " n/a " in out[2]
+
+
+def test_compare_shows_each_files_own_pairs_and_warns(capsys):
+    a = record(step_s_p50=1.0, rel=0.072, wins=(7, 3))
+    b = record(step_s_p50=0.75, rel=-0.023, wins=(4, 6))
+    (row,) = bp.compare(a, b, END_TO_END)
+    # across files the median fell 25%; inside B the change won 6 of 10
+    assert row[4] == pytest.approx(-0.25)
+    assert row[6:] == ((0.072, 7, 3, 10), (-0.023, 4, 6, 10))
+    bp.print_compare([row])
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[4:] == ["-25.0%", "+7.2%", "7/3", "of", "10",
+                                  "-2.3%", "4/6", "of", "10"]
+    assert out[-1].startswith("Only the in-file pairs")
+    assert "drift" in out[-1]
 
 
 def test_compare_runs_nothing(tmp_path, capsys):

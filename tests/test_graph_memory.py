@@ -1,11 +1,14 @@
 import importlib.util
 import os
+import weakref
 
 import numpy as np
 
 from hagcn import network as N
 from hagcn import tensor as T
+from hagcn.graph import build_graph
 from hagcn.tensor import Tensor
+from hagcn.training import make_synthetic
 from test_network import tiny_config, tiny_input
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -42,8 +45,54 @@ def test_prints_a_table_with_a_total(capsys):
 
 
 def test_desk_batch_stays_under_150_mib(capsys):
-    # 142.7 MiB while the temporal convs replay their inputs, 175.4 MiB when
-    # they keep them; the shapes are fixed, so the count is deterministic
+    # 141.5 MiB with every replay, 175.4 MiB when the temporal convs keep
+    # their inputs; the shapes are fixed, so the count is deterministic
     assert gm.main(["--model", "desk"]) == 0
     total = capsys.readouterr().out.splitlines()[-1].split()
     assert total[0] == "total" and float(total[1]) < 150
+
+
+def desk_model():
+    fields, _ = gm.MODELS["desk"]
+    return N.Model(N.ModelConfig(graph=build_graph("ntu25"), **fields), seed=0)
+
+
+def desk_grads(keep_input_bn, seqs):
+    """Gradients of a desk training step, and whether the input batch norm's
+    output array outlives the forward; ``keep_input_bn`` clears that output's
+    replay, so the convs reading it keep it."""
+    model = desk_model()
+    data_bn, refs = model.data_bn.forward, []
+
+    def spy(*args, **kw):
+        y = data_bn(*args, **kw)
+        if keep_input_bn:
+            y.replay = None
+        refs.append(weakref.ref(y.data))
+        return y
+
+    model.data_bn.forward = spy
+    loss = gm.training_loss(model, seqs)
+    alive = refs[0]() is not None
+    grads = T.backward(loss)
+    return alive, [grads[p.node] for _, p in model.named_params()]
+
+
+def test_desk_input_norm_output_dies_after_forward():
+    seqs = make_synthetic(2, frames=16, seed=0)[:4]
+    alive, got = desk_grads(False, seqs)
+    assert not alive
+    kept, want = desk_grads(True, seqs)
+    assert kept
+    assert len(got) == len(want) and all(
+        a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(got, want))
+
+
+def test_no_desk_closure_reaches_a_tensor():
+    seqs = make_synthetic(2, frames=16, seed=0)[:4]
+    loss = gm.training_loss(desk_model(), seqs)
+    closures = [node.backward for node in T._topo(loss.node) if node.backward]
+    assert len(closures) > 100
+    assert not [fn.__qualname__ for fn in closures
+                if any(isinstance(obj, Tensor) for obj in gm._reachable(fn))]

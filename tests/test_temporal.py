@@ -8,7 +8,6 @@ from hagcn import tensor as T
 from hagcn.layers import BatchNorm
 from hagcn.tensor import Tensor, backward, grad_check
 from hagcn.temporal import DILATIONS, TemporalBranch, TemporalConv
-from test_graph_memory import gm
 from test_tensor import same_bits
 
 
@@ -191,48 +190,47 @@ def normed_stack(mode, stride, seed=20):
 
 
 def stack_forward(layer, bn, x):
-    """The norm's output and the temporal output, the replay passed on."""
-    replay = []
-    y = bn.forward(x, True, [], replay_out=replay)
-    return y, layer.forward(y, True, [], replay[0])
+    """The norm's output and the temporal output."""
+    y = bn.forward(x, True, [])
+    return y, layer.forward(y, True, [])
 
 
 def keep_inputs(monkeypatch):
     """Make every conv keep its input, as before the replay."""
-    conv2d = T.conv2d
-    monkeypatch.setattr(T, "conv2d",
-                        lambda *a, recompute_x=None, **kw: conv2d(*a, **kw))
-
-
-def padded_shapes(mode):
-    if mode == "single":
-        return {(2, 8, 20, 4)}
-    return {(2, 2, 12 + 2 * d, 4) for d in DILATIONS}
+    monkeypatch.setattr(T, "_replayed", lambda out, replay: out)
 
 
 class TestInputReplay:
     """No temporal conv keeps its input for the weight gradient: the
-    batch-normed input and each dilated conv's padded ``relu(bn_mid(.))``
-    are replayed in backward."""
+    batch-normed input and each dilated conv's ``relu(bn_mid(.))`` are
+    replayed in backward."""
 
     @staticmethod
-    def inputs_alive(mode, stride):
+    def inputs_alive(mode, stride, monkeypatch):
+        """Whether each conv input outlives the forward: the norm's output,
+        then each branch's relu output."""
+        refs, relu = [], T.relu
+
+        def spy(x):
+            out = relu(x)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "relu", spy)
         layer, bn, x = normed_stack(mode, stride)
         y, out = stack_forward(layer, bn, Tensor(x, requires_grad=True))
-        ref = weakref.ref(y.data)
+        refs.insert(0, weakref.ref(y.data))
         del y
-        held = {a.shape for node in T._topo(out.node) if node.backward
-                for a in gm._arrays(node.backward)}
-        alive = ref() is not None, bool(held & padded_shapes(mode))
+        alive = [r() is not None for r in refs]
         assert backward(T.tsum(out))
         return alive
 
     @pytest.mark.parametrize("mode,stride", REPLAY_CASES)
     def test_inputs_die_after_forward(self, mode, stride, monkeypatch):
-        assert self.inputs_alive(mode, stride) == (False, False)
+        count = 1 if mode == "single" else 1 + len(DILATIONS)
+        assert self.inputs_alive(mode, stride, monkeypatch) == [False] * count
         keep_inputs(monkeypatch)
-        # the 9x1 conv pads, so it keeps only a padded copy of its input
-        assert self.inputs_alive(mode, stride) == (mode != "single", True)
+        assert self.inputs_alive(mode, stride, monkeypatch) == [True] * count
 
     @staticmethod
     def grads(mode, stride):

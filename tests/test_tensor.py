@@ -509,8 +509,8 @@ class TestGraphMemory:
 
 
 class TestMatmulRecompute:
-    """``recompute_b`` makes a product keep nothing of b: a's gradient
-    calls the function instead."""
+    """An operand with a ``replay`` is not kept by a product: a's gradient
+    calls b's replay instead."""
 
     @staticmethod
     def run(recompute, a_needs_grad=True):
@@ -525,7 +525,9 @@ class TestMatmulRecompute:
             calls.append(1)
             return w.data * 1.5
 
-        out = T.matmul(a, b, recompute_b=replay if recompute else None)
+        if recompute:
+            b.replay = replay
+        out = T.matmul(a, b)
         ref = weakref.ref(b.data)
         c = np.random.default_rng(32).standard_normal(out.data.shape)
         loss = T.tsum(T.mul(out, c))
@@ -551,8 +553,8 @@ class TestMatmulRecompute:
 
 
 class TestConvRecompute:
-    """``recompute_x`` makes a conv keep nothing of its input, padded or
-    not: the weight gradient calls the function and pads again."""
+    """A conv keeps nothing of an input with a ``replay``, padded or not:
+    the weight gradient calls the replay and pads again."""
 
     @staticmethod
     def run(recompute, pad=0, stride=1, x_needs_grad=True, w_needs_grad=True):
@@ -568,8 +570,9 @@ class TestConvRecompute:
             calls.append(1)
             return src.data * 1.5
 
-        out = T.conv2d(x, w, b, stride=stride, dilation=2, pad=pad,
-                       recompute_x=replay if recompute else None)
+        if recompute:
+            x.replay = replay
+        out = T.conv2d(x, w, b, stride=stride, dilation=2, pad=pad)
         c = np.random.default_rng(43).standard_normal(out.data.shape)
         grads = backward(T.tsum(T.mul(out, c)))
         return (out.data, calls, grads.get(src.node), grads.get(w.node),
@@ -595,10 +598,10 @@ class TestConvRecompute:
     def test_no_replay_under_no_grad(self):
         calls = []
         x, w, b = randt((2, 3, 6, 4)), randt((5, 3, 3, 1)), randt((5,))
+        x.replay = lambda: calls.append(1)
         with T.no_grad():
-            out = T.conv2d(x, w, b, pad=1,
-                           recompute_x=lambda: calls.append(1))
-        assert out.node is None and calls == []
+            out = T.conv2d(x, w, b, pad=1)
+        assert out.node is None and out.replay is None and calls == []
 
     @pytest.mark.parametrize("pad", [0, 2])
     @pytest.mark.parametrize("recompute", [False, True])
@@ -606,8 +609,9 @@ class TestConvRecompute:
         x = T.mul(randt((2, 3, 6, 4), seed=44), 1.5)
         w, b = randt((5, 3, 3, 1), seed=45), randt((5,), seed=46)
         ref = weakref.ref(x.data)
-        out = T.conv2d(x, w, b, dilation=2, pad=pad,
-                       recompute_x=(lambda: None) if recompute else None)
+        if recompute:
+            x.replay = lambda: None
+        out = T.conv2d(x, w, b, dilation=2, pad=pad)
         del x
         # the closure keeps neither the input nor a padded copy of it
         held = {a.shape for a in gm._arrays(out.node.backward)}
@@ -616,27 +620,52 @@ class TestConvRecompute:
 
 
 class TestBatchNormReplay:
-    """``replay_out`` receives a function that rebuilds the norm's output
-    bit for bit, or None when no graph is built."""
+    """A norm's output carries a ``replay`` that rebuilds its data bit for
+    bit, or None when no graph is built."""
 
     @pytest.mark.parametrize("running", [False, True])
     def test_replay_matches_the_output(self, running):
         x, gamma, beta = randt((3, 4, 5, 2), seed=47), randt((4,), seed=48), \
             randt((4,), seed=49)
         stats = (np.full(4, 0.3), np.full(4, 1.7)) if running else (None, None)
-        replay = []
-        out = T.batch_norm(x, gamma, beta, *stats, replay_out=replay)
-        (fn,) = replay
+        out = T.batch_norm(x, gamma, beta, *stats)
+        fn = out.replay
         assert same_bits(fn(), out.data) and fn() is not out.data
 
     @pytest.mark.parametrize("running", [False, True])
     def test_no_replay_without_a_graph(self, running):
         x, gamma, beta = randt((3, 4, 5, 2)), randt((4,)), randt((4,))
         stats = (np.zeros(4), np.ones(4)) if running else (None, None)
-        replay = []
         with T.no_grad():
-            T.batch_norm(x, gamma, beta, *stats, replay_out=replay)
-        assert replay == [None]
+            out = T.batch_norm(x, gamma, beta, *stats)
+        assert out.replay is None
+
+
+class TestOutputReplay:
+    """A conv output always replays; relu and transpose outputs replay only
+    when their input does. A replay rebuilds the output's bits."""
+
+    OPS = {
+        "conv2d": lambda x: T.conv2d(x, randt((5, 3, 3, 1), seed=51),
+                                     randt((5,), seed=52), stride=2,
+                                     dilation=2, pad=2),
+        "relu": T.relu,
+        "transpose": lambda x: T.transpose(x, (0, 3, 2, 1)),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("replayed", [False, True])
+    def test_replay_rebuilds_the_output(self, op, replayed):
+        x = randt((2, 3, 7, 4), seed=50)
+        if replayed:
+            x = T.batch_norm(x, randt((3,), seed=53), randt((3,), seed=54))
+        else:
+            x = T.mul(x, 1.5)
+        out = self.OPS[op](x)
+        if replayed or op == "conv2d":
+            assert same_bits(out.replay(), out.data)
+        else:
+            assert out.replay is None
 
 
 class TestSerialization:

@@ -20,7 +20,10 @@ workloads already in it are kept):
 ``--compare A.json B.json`` runs nothing. For each workload and end-to-end
 metric both records hold, it prints the change side's median in A and in B
 and B's relative change, and flags a move past ``BENCHMARK.json``'s bound in
-the metric's worse direction:
+the metric's worse direction. Beside them it prints each file's own
+parent-to-change relative change and pair wins (parent/change), because
+only pairs run side by side inside one file support a claim: the medians of
+two files measured at different times also carry the host's drift.
 
     python3 tools/bench_pairs.py --compare BENCH_17.json BENCH_18.json
 """
@@ -163,11 +166,19 @@ def print_summary(workload, summary):
               f"{p['wins']:4d}/{c['wins']:<4d} {m['bound']:6g}")
 
 
+def _in_file(summary, name) -> tuple:
+    """A record's own pairs for one metric: (relative change or None,
+    parent wins, change wins, pairs)."""
+    m = summary["metrics"][name]
+    return (m["relative_change"], m["parent"]["wins"], m["change"]["wins"],
+            summary["pairs"])
+
+
 def compare(a, b, end_to_end) -> list:
     """One row per workload and end-to-end metric that records ``a`` and
     ``b`` both hold: (workload, metric, a's change-side median, b's, b's
     relative change or None, whether it moved past the bound in the worse
-    direction)."""
+    direction, a's in-file pairs, b's in-file pairs; see ``_in_file``)."""
     rows = []
     for workload in sorted(set(a["workloads"]) & set(b["workloads"])):
         ma = a["workloads"][workload]["metrics"]
@@ -180,17 +191,29 @@ def compare(a, b, end_to_end) -> list:
             rel = (vb - va) / va if va else None
             sign = 1 if m["better"] == "lower" else -1
             rows.append((workload, name, va, vb, rel,
-                         rel is not None and sign * rel > m["bound"]))
+                         rel is not None and sign * rel > m["bound"],
+                         _in_file(a["workloads"][workload], name),
+                         _in_file(b["workloads"][workload], name)))
     return rows
+
+
+def _rel(rel) -> str:
+    return "n/a" if rel is None else f"{rel:+.1%}"
 
 
 def print_compare(rows):
     print(f"{'workload':10s} {'metric':12s} {'A':>11s} {'B':>11s} "
-          f"{'change':>8s}")
-    for workload, name, va, vb, rel, flagged in rows:
+          f"{'A to B':>8s} {'in A':>8s} {'wins p/c':>11s} {'in B':>8s} "
+          f"{'wins p/c':>11s}")
+    for workload, name, va, vb, rel, flagged, in_a, in_b in rows:
+        pairs = "".join(f" {_rel(r):>8s} {f'{p}/{c} of {n}':>11s}"
+                        for r, p, c, n in (in_a, in_b))
         print(f"{workload:10s} {name:12s} {va:11.5g} {vb:11.5g} "
-              f"{'n/a' if rel is None else f'{rel:+.1%}':>8s}"
+              f"{_rel(rel):>8s}{pairs}"
               f"{'  WORSE PAST BOUND' if flagged else ''}")
+    print("Only the in-file pairs (in A, in B) support a claim; A to B "
+          "compares runs made at different times and carries the host's "
+          "drift.")
 
 
 def main(argv=None) -> int:

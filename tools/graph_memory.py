@@ -49,21 +49,26 @@ def _base(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _arrays(fn):
-    """Every ndarray reachable from a closure."""
+def _reachable(fn):
+    """Every object reachable from a closure through its cells, default
+    values, nested functions, tuples and lists."""
     stack, seen = [fn], set()
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            yield obj
-        elif isinstance(obj, types.FunctionType):
+        yield obj
+        if isinstance(obj, types.FunctionType):
             stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
             stack.extend(obj.__defaults__ or ())
         elif isinstance(obj, (tuple, list)):
             stack.extend(obj)
+
+
+def _arrays(fn):
+    """Every ndarray reachable from a closure."""
+    return (obj for obj in _reachable(fn) if isinstance(obj, np.ndarray))
 
 
 def held_bytes(loss, skip=()) -> dict:
