@@ -642,8 +642,9 @@ class TestBatchNormReplay:
 
 
 class TestOutputReplay:
-    """A conv output always replays; relu and transpose outputs replay only
-    when their input does. A replay rebuilds the output's bits."""
+    """In a graph a conv output replays whatever its input; relu and
+    transpose outputs replay only when their input does. A replay rebuilds
+    the output's bits."""
 
     OPS = {
         "conv2d": lambda x: T.conv2d(x, randt((5, 3, 3, 1), seed=51),
