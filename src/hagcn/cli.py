@@ -24,10 +24,10 @@ import sys
 import numpy as np
 
 from .attention import DISABLE_CHOICES
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .evaluation import (ablation_report, export_masks, fuse_scores,
                          score_dataset, topk_accuracy)
-from .graph import BUILTIN_GRAPHS, GraphSpec, build_graph
+from .graph import build_graph
 from .ingest import (STREAMS, assemble_batch, load_cache, read_manifest,
                      save_cache)
 from .network import Model, ModelConfig, load_checkpoint, save_checkpoint
@@ -41,17 +41,6 @@ def _load_json(path):
             return json.load(f)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON ({e})")
-
-
-def _resolve_graph(value) -> GraphSpec:
-    if isinstance(value, str):
-        if value not in BUILTIN_GRAPHS:
-            raise ConfigError(f"unknown graph {value!r}; builtins: "
-                              f"{sorted(BUILTIN_GRAPHS)}")
-        return build_graph(value)
-    if isinstance(value, dict):
-        return GraphSpec.from_dict(value)
-    raise ConfigError("graph must be a builtin name or a graph dict")
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +202,9 @@ def cmd_train(args) -> int:
     if "num_classes" not in model_d:
         # infer the label space from the training cache
         model_d["num_classes"] = max(s.label for s in train_seqs) + 1
-    model_d["graph"] = _resolve_graph(model_d.get("graph", "ntu25")).to_dict()
+    graph = model_d.setdefault("graph", "ntu25")
+    if isinstance(graph, str):  # a built-in name; from_dict checks the rest
+        model_d["graph"] = build_graph(graph).to_dict()
     model_cfg = ModelConfig.from_dict(model_d)
 
     train_d = dict(file_cfg.get("train", {}))
@@ -275,6 +266,13 @@ def cmd_eval(args) -> int:
                 f"--mask-block must be in [0, {len(model.blocks)})")
         if not 0 <= args.mask_sample < len(seqs):
             raise ConfigError(f"--mask-sample must be in [0, {len(seqs)})")
+        # the nearest existing path must be a directory to make it in
+        found = os.path.abspath(args.export_masks)
+        while not os.path.exists(found):
+            found = os.path.dirname(found)
+        if not os.path.isdir(found):
+            raise ConfigError(f"--export-masks {args.export_masks}: {found} "
+                              f"is not a directory")
     scores, labels = score_dataset(model, seqs, stream=args.stream,
                                    batch_size=args.batch_size,
                                    max_frames=args.max_frames,
@@ -437,7 +435,7 @@ def main(argv=None) -> int:
     try:
         with _single_thread_blas():
             return args.func(args)
-    except (ConfigError, FormatError, ValueError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (RuntimeError, OSError, MemoryError) as e:

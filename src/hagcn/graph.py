@@ -15,7 +15,7 @@ hub links, is a ``GraphSpec`` or its ``to_dict`` form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -115,12 +115,7 @@ class GraphSpec:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "num_joints": self.num_joints,
-            "edges": [list(e) for e in self.edges],
-            "hub_joints": list(self.hub_joints),
-            "extra_links": self.extra_links,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "GraphSpec":

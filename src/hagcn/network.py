@@ -20,7 +20,7 @@ from a checkpoint yet: the training config, history and RNG state are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -82,11 +82,7 @@ class ModelConfig:
         return replace(self, attention=which)
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["graph"] = self.graph.to_dict()
-        d["channels"] = list(self.channels)
-        d["strides"] = list(self.strides)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

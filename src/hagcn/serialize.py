@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -55,10 +56,7 @@ def read_tensor(f) -> np.ndarray:
     if rank > _MAX_RANK:
         raise FormatError(f"implausible tensor rank {rank}")
     dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank)) if rank else ()
-    count = 1
-    for d in dims:
-        count *= d
-    data = np.frombuffer(_read_exact(f, 8 * count), dtype="<f8")
+    data = np.frombuffer(_read_exact(f, 8 * math.prod(dims)), dtype="<f8")
     try:
         data = data.reshape(dims)
     except ValueError as e:  # a zero dim beside one numpy cannot index

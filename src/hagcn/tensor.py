@@ -19,12 +19,13 @@ its Tensor and the last closure that reads it are gone, not when the graph
 is. Where an operand can be rebuilt from arrays the graph keeps anyway, it
 is not kept at all: an op output that carries a ``replay``, a zero-argument
 function returning its data bit for bit, is read through that function in
-backward, and no op keeps an operand that has one. A batch norm's output
-replays its affine step on the normalised input it keeps; a conv's output
-reruns the conv on its input's replay or kept input (padding it again);
-relu and transpose outputs replay only when their input does. So a conv
-after a batch norm, and an attention product of two conv outputs, keep
-nothing of those inputs. The graph is also one-shot: ``backward`` drops
+backward, and no op keeps an operand that has one. One rule makes every
+replay (``_replayed`` sets them all): an op's replay reruns the op's own
+kernel, the one that made its output, on its input's replay or on the input
+it keeps. A conv reruns on either, a batch norm's affine step on the
+normalised input it keeps, relu and transpose only on an input's replay. So
+a conv after a batch norm, and an attention product of two conv outputs,
+keep nothing of those inputs. The graph is also one-shot: ``backward`` drops
 each closure once it has run, so saved arrays free as the walk proceeds,
 and a second walk over a spent graph raises RuntimeError.
 
@@ -160,11 +161,12 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _replayed(out: Tensor, replay) -> Tensor:
-    """``out``, given ``replay`` when it has a graph node: without one no
-    closure reads it, so nothing needs rebuilding."""
-    if out.node is not None:
-        out.replay = replay
+def _replayed(out: Tensor, kernel, source) -> Tensor:
+    """``out``, whose data ``kernel`` made from its input, given the replay
+    ``kernel(source())`` when it has a graph node and ``source`` is not
+    None: without a node no closure reads it, so nothing needs rebuilding."""
+    if out.node is not None and source is not None:
+        out.replay = lambda: kernel(source())
     return out
 
 
@@ -266,8 +268,8 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
     The kernel is (C_out, C_in, k_t, 1) and the bias (C_out,); stride,
     dilation and zero padding apply to the temporal axis. Each tap is one
     matmul of its weights with the shifted input seen as (N, C_in, T_out*V),
-    a free view for 1x1 stride-1 convs. The output replays by running the
-    conv again on its input's replay or kept input.
+    a free view for 1x1 stride-1 convs. The output replays by rerunning
+    this conv's kernel on its input's replay or on the input it keeps.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4 or w.ndim != 4:
@@ -343,8 +345,7 @@ def conv2d(x, w, b, stride: int = 1, dilation: int = 1, pad: int = 0) -> Tensor:
                 dx = dxp[:, :, pad:pad + t, :] if pad else dxp
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    return _replayed(_make(run(x.data), (x, w, b), back),
-                     lambda: run(get_x()))
+    return _replayed(_make(run(x.data), (x, w, b), back), run, get_x)
 
 
 # ---------------------------------------------------------------------------
@@ -375,26 +376,11 @@ def _affine_args(op: str, x, gamma, beta):
     return x, gamma, beta, gamma.data.reshape(1, c, 1, 1)
 
 
-def _scale_shift(xhat, var, eps, gamma_r, beta, out):
-    """Normalize the centred ``xhat`` in place, then write
-    ``xhat * gamma + beta`` into ``out``; returns (output, 1/sqrt(var+eps))."""
-    ivar = 1.0 / np.sqrt(var + eps)
-    xhat *= ivar
+def _affine(xhat, gamma_r, beta_r, out=None):
+    """``xhat * gamma + beta``, written into ``out`` when given."""
     data = np.multiply(xhat, gamma_r, out=out)
-    data += beta.data.reshape(gamma_r.shape)
-    return data, ivar
-
-
-def _affine_replay(xhat, gamma_r, beta):
-    """``_scale_shift``'s output again from the normalised ``xhat``: the same
-    multiply and add on the same arrays, so the same bits."""
-    beta_r = beta.data.reshape(gamma_r.shape)
-
-    def replay():
-        data = xhat * gamma_r
-        data += beta_r
-        return data
-    return replay
+    data += beta_r
+    return data
 
 
 def _affine_back(g, xhat, gamma_r):
@@ -415,8 +401,8 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
     ``(mean, var)`` pair of (C,) arrays. With ``mean``/``var`` given, those
     plain (C,) arrays are treated as constants (running statistics at eval
     time). The op never mutates them; the owning layer maintains running
-    state. The output replays its affine step on the normalised input the
-    backward keeps anyway.
+    state. The output replays by rerunning its affine kernel on the
+    normalised input the backward keeps anyway.
     """
     x, gamma, beta, gamma_r = _affine_args("batch_norm", x, gamma, beta)
     n, c, t, v = x.data.shape
@@ -438,7 +424,10 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
         var = np.asarray(var, dtype=np.float64).reshape(gamma_r.shape)
         # without a graph nothing reads xhat again: the output may overwrite it
         out = np.empty_like(xhat) if graph else xhat
-    data, ivar = _scale_shift(xhat, var, eps, gamma_r, beta, out)
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat *= ivar
+    beta_r = beta.data.reshape(gamma_r.shape)
+    data = _affine(xhat, gamma_r, beta_r, out)
 
     def back(g):
         t, dgamma, dbeta, dx = _affine_back(g, xhat, gamma_r)
@@ -456,7 +445,7 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
         return dx, dgamma, dbeta
 
     return _replayed(_make(data, (x, gamma, beta), back),
-                     _affine_replay(xhat, gamma_r, beta))
+                     lambda xd: _affine(xd, gamma_r, beta_r), lambda: xhat)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -466,7 +455,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     axes = (1, 2, 3)
     count = c * t * v
     _, xhat, out, var = _moments(x.data, axes, count)
-    data, ivar = _scale_shift(xhat, var, eps, gamma_r, beta, out)
+    ivar = 1.0 / np.sqrt(var + eps)
+    xhat *= ivar
+    data = _affine(xhat, gamma_r, beta.data.reshape(gamma_r.shape), out)
 
     def back(g):
         t, dgamma, dbeta, dx = _affine_back(g, xhat, gamma_r)
@@ -487,18 +478,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def relu(x) -> Tensor:
-    """max(x, 0); the output replays when the input does."""
+    """max(x, 0); the output replays, by rerunning this kernel on the
+    input's replay, only when the input has one."""
     x = as_tensor(x)
     mask = x.data > 0
+
+    def kernel(xd):
+        return np.where(mask, xd, 0.0)
 
     def back(g):
         return (g * mask,)
 
-    out = _make(np.where(mask, x.data, 0.0), (x,), back)
-    if x.replay is None:
-        return out
-    get_x = x.replay
-    return _replayed(out, lambda: np.where(mask, get_x(), 0.0))
+    return _replayed(_make(kernel(x.data), (x,), back), kernel, x.replay)
 
 
 def tanh(x) -> Tensor:
@@ -617,14 +608,13 @@ def transpose(x, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
+    def kernel(xd):
+        return xd.transpose(axes)
+
     def back(g):
         return (g.transpose(inv),)
 
-    out = _make(x.data.transpose(axes), (x,), back)
-    if x.replay is None:
-        return out
-    get_x = x.replay
-    return _replayed(out, lambda: get_x().transpose(axes))
+    return _replayed(_make(kernel(x.data), (x,), back), kernel, x.replay)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

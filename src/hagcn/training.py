@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -324,9 +324,7 @@ class TrainConfig:
             raise ConfigError(f"stream must be one of {STREAMS}")
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["milestones"] = list(self.milestones)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

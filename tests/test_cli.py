@@ -244,6 +244,9 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
                 {"model": {"channels": 5}},
                 {"train": {"epochs": "2"}},
                 {"model": {"graph": {"num_joints": [1]}}},
+                {"model": {"graph": "ntu24"}},
+                {"model": {"graph": 5}},
+                {"model": {"graph": None}},
                 {"model": [1]},
                 {"train": 5},
                 {"train": {"epochs": 1.5}},
@@ -287,6 +290,25 @@ def test_train_rejects_fixed_recipe_keys(tmp_path, capsys, key, value):
     assert capsys.readouterr().err == (f"error: unknown training config "
                                        f"keys: ['{key}']\n")
     assert not os.path.exists(tmp_path / "run")
+
+
+def test_train_on_the_openpose_skeleton(tmp_path):
+    # the second built-in graph, by name, on a cache read from keypoint JSON
+    manifest = tmp_path / "files.txt"
+    manifest.write_text(os.path.join(FIXTURES, "sample_pose.json") + " 0\n")
+    cache = str(tmp_path / "pose.hagd")
+    assert run(["prepare", "--manifest", str(manifest), "--out", cache]) == 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "model": {"graph": "openpose18", "channels": [8], "strides": [1]},
+        "train": {"epochs": 1}}))
+    out = tmp_path / "run"
+    assert run(["train", "--train-cache", cache, "--config", str(cfg_path),
+                "--out", str(out)]) == 0
+    with open(out / "config.json") as f:
+        graph = json.load(f)["model"]["graph"]
+    assert graph["num_joints"] == 18 and graph["extra_links"] is True
+    assert graph == json.loads(json.dumps(build_graph("openpose18").to_dict()))
 
 
 def test_train_rejects_misspelt_graph_key(tmp_path, capsys):
@@ -536,6 +558,19 @@ def test_eval_checks_mask_flags_before_writing(trained, tmp_path, capsys,
                 "--export-masks", str(masks), flag, value]) == 1
     assert flag in capsys.readouterr().err
     assert not report.exists() and not masks.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_eval_refuses_a_file_as_mask_directory(trained, tmp_path, capsys,
+                                               below):
+    report, masks = tmp_path / "r.json", tmp_path / "masks"
+    masks.write_text("not a directory")
+    assert run(["eval", "--checkpoint", trained["ckpt"], "--cache",
+                trained["val"], "--out", str(report), "--max-frames", "12",
+                "--export-masks", str(masks / below)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--export-masks" in err, err
+    assert not report.exists() and masks.read_text() == "not a directory"
 
 
 def test_fuse_two_streams(trained, capsys):

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import sys
 import weakref
 
 import numpy as np
@@ -96,3 +97,25 @@ def test_no_desk_closure_reaches_a_tensor():
     assert len(closures) > 100
     assert not [fn.__qualname__ for fn in closures
                 if any(isinstance(obj, Tensor) for obj in gm._reachable(fn))]
+
+
+def test_every_desk_replay_rebuilds_its_output(monkeypatch):
+    # every output the engine gives a replay, across a whole training
+    # forward, rebuilds its data bit for bit from what the graph keeps
+    made, replayed = [], T._replayed
+
+    def record(*args, **kw):
+        out = replayed(*args, **kw)
+        made.append((sys._getframe(1).f_code.co_name, out))
+        return out
+
+    monkeypatch.setattr(T, "_replayed", record)
+    gm.training_loss(desk_model(), make_synthetic(2, frames=16, seed=0)[:4])
+    ops = set()
+    for op, out in made:
+        if out.replay is not None:
+            ops.add(op)
+            again = out.replay()
+            assert again.shape == out.data.shape, op
+            assert again.tobytes() == out.data.tobytes(), op
+    assert {"conv2d", "batch_norm", "relu", "transpose"} <= ops

@@ -197,7 +197,7 @@ def stack_forward(layer, bn, x):
 
 def keep_inputs(monkeypatch):
     """Make every conv keep its input, as before the replay."""
-    monkeypatch.setattr(T, "_replayed", lambda out, replay: out)
+    monkeypatch.setattr(T, "_replayed", lambda out, kernel, source: out)
 
 
 class TestInputReplay:
