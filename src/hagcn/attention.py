@@ -64,8 +64,7 @@ def ra_mask(f: Tensor) -> Tensor:
 
     a[n, c, i, j] = tanh(sum_t f[n,c,t,i] * f[n,c,t,j]).
     """
-    ft = T.transpose(f, (0, 1, 3, 2))
-    return T.tanh(T.matmul(ft, f))
+    return T.tanh(T.gram(f))
 
 
 class SubsetAttention(Layer):

@@ -243,6 +243,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_target(flag: str, path: str, directory: bool = False) -> None:
+    """Refuse a ``flag`` target that cannot be written, before anything is
+    loaded or scored. A file is written into the directory that holds it,
+    which must exist, and must not be a directory itself; a directory is
+    made with its missing parents, so the nearest existing path must be a
+    directory."""
+    full = os.path.abspath(path)
+    if not directory and os.path.isdir(full):
+        raise ConfigError(f"{flag} {path}: is a directory")
+    home = full if directory else os.path.dirname(full)
+    found = home
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"{flag} {path}: {found} is not a directory")
+    if not directory and found != home:
+        raise ConfigError(f"{flag} {path}: {home} does not exist")
+
+
 def _scoring_inputs(args):
     """(model, epoch, sequences) for ``eval`` and ``ablate``, checked
     before anything is scored or written."""
@@ -251,6 +270,7 @@ def _scoring_inputs(args):
         if value < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least "
                               f"1, got {value}")
+    _check_target("--out", args.out)
     model, epoch, _ = load_checkpoint(args.checkpoint)
     seqs = load_cache(args.cache)
     _check_geometry(model.config, seqs)
@@ -258,6 +278,8 @@ def _scoring_inputs(args):
 
 
 def cmd_eval(args) -> int:
+    if args.export_masks:
+        _check_target("--export-masks", args.export_masks, directory=True)
     model, epoch, seqs = _scoring_inputs(args)
     if args.export_masks:
         # checked before anything is scored or written
@@ -266,13 +288,6 @@ def cmd_eval(args) -> int:
                 f"--mask-block must be in [0, {len(model.blocks)})")
         if not 0 <= args.mask_sample < len(seqs):
             raise ConfigError(f"--mask-sample must be in [0, {len(seqs)})")
-        # the nearest existing path must be a directory to make it in
-        found = os.path.abspath(args.export_masks)
-        while not os.path.exists(found):
-            found = os.path.dirname(found)
-        if not os.path.isdir(found):
-            raise ConfigError(f"--export-masks {args.export_masks}: {found} "
-                              f"is not a directory")
     scores, labels = score_dataset(model, seqs, stream=args.stream,
                                    batch_size=args.batch_size,
                                    max_frames=args.max_frames,
@@ -306,6 +321,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    _check_target("--out", args.out)
     reports = [_load_json(p) for p in args.reports]
     mats = []
     for p, r in zip(args.reports, reports):

@@ -3,9 +3,10 @@
 A Tensor wraps an ndarray and, when gradients are required, a graph Node:
 the parent nodes plus a closure that maps the output gradient to gradients
 for its parents. The op set is exactly what the network needs: broadcast
-arithmetic, batched matmul, a temporal (k_t x 1) convolution with
-stride/dilation/padding, batch and layer normalization, pointwise
-nonlinearities, reductions, shape moves, concatenation and inverted dropout.
+arithmetic, batched matmul and the Gram product ``xᵀx``, a temporal
+(k_t x 1) convolution with stride/dilation/padding, batch and layer
+normalization, pointwise nonlinearities, reductions, shape moves,
+concatenation and inverted dropout.
 ``backward`` walks the nodes in reverse topological order and returns the
 leaf gradients keyed by each leaf's node (``leaf.node``); ``grad_check``
 compares analytic gradients against central differences. ``no_grad`` turns
@@ -18,14 +19,19 @@ gradients actually needed read. An activation is therefore freed as soon as
 its Tensor and the last closure that reads it are gone, not when the graph
 is. Where an operand can be rebuilt from arrays the graph keeps anyway, it
 is not kept at all: an op output that carries a ``replay``, a zero-argument
-function returning its data bit for bit, is read through that function in
-backward, and no op keeps an operand that has one. One rule makes every
-replay (``_replayed`` sets them all): an op's replay reruns the op's own
-kernel, the one that made its output, on its input's replay or on the input
-it keeps. A conv reruns on either, a batch norm's affine step on the
-normalised input it keeps, relu and transpose only on an input's replay. So
-a conv after a batch norm, and an attention product of two conv outputs,
-keep nothing of those inputs. The graph is also one-shot: ``backward`` drops
+function returning its data bit for bit in a fresh array the caller may
+overwrite, is read through that function in backward, and no op keeps an
+operand that has one. One rule makes every replay (``_replayed`` sets them
+all): an op's replay reruns the op's own kernel, the one that made its
+output, on its input's replay or on the input it keeps. A conv reruns on
+either, a batch norm's affine step on the normalised input it keeps, relu
+and transpose only on an input's replay. A layer norm reruns its
+normalisation and affine step on its input's replay, keeping only the
+per-sample mean and scale, or, on an input without one, its affine step on
+the normalised input it keeps. So a conv after a batch norm, an attention
+product of two conv outputs and a layer norm after a conv keep nothing of
+those inputs, and ``gram`` (the angle mask's ``xᵀx``) reads its replayed
+input once for both factors. The graph is also one-shot: ``backward`` drops
 each closure once it has run, so saved arrays free as the walk proceeds,
 and a second walk over a spent graph raises RuntimeError.
 
@@ -258,6 +264,25 @@ def matmul(a, b) -> Tensor:
     return _make(data, (a, b), back)
 
 
+def gram(x) -> Tensor:
+    """``xᵀ x`` over the last two axes of a 4-D input: (N, C, T, V) to
+    (N, C, V, V). One op reads x once, where ``matmul(transpose(x), x)``
+    would read a replayed x for each operand; the gradient is the sum those
+    two nodes' flows into x make."""
+    x = as_tensor(x)
+    if x.ndim != 4:
+        raise ValueError("gram expects 4-D input")
+    get_x = _reader(x)
+
+    def back(g):
+        xd = get_x()
+        dx = np.matmul(xd, g)
+        dx += np.swapaxes(np.matmul(g, np.swapaxes(xd, -1, -2)), -1, -2)
+        return (dx,)
+
+    return _make(np.matmul(np.swapaxes(x.data, -1, -2), x.data), (x,), back)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -449,28 +474,48 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Per-sample normalization over (C, T, V) with per-channel affine."""
+    """Per-sample normalization over (C, T, V) with per-channel affine.
+
+    The backward reads the normalised input. An input with a replay keeps
+    nothing of it: only the per-sample mean and ``ivar`` stay, and x̂ is
+    rebuilt as ``(x - mean) * ivar`` from that replay. Otherwise x̂ is kept.
+    The output replays by rerunning its affine kernel on that x̂.
+    """
     x, gamma, beta, gamma_r = _affine_args("layer_norm", x, gamma, beta)
     n, c, t, v = x.data.shape
     axes = (1, 2, 3)
     count = c * t * v
-    _, xhat, out, var = _moments(x.data, axes, count)
+    mean, xhat, out, var = _moments(x.data, axes, count)
     ivar = 1.0 / np.sqrt(var + eps)
     xhat *= ivar
-    data = _affine(xhat, gamma_r, beta.data.reshape(gamma_r.shape), out)
+    beta_r = beta.data.reshape(gamma_r.shape)
+    data = _affine(xhat, gamma_r, beta_r, out)
+    src = x.replay
+    if src is None:
+        def get_xhat():
+            return xhat
+    else:
+        def get_xhat():
+            # the ops _moments and the scaling above ran, on the fresh replay
+            xh = src()
+            xh -= mean
+            xh *= ivar
+            return xh
 
     def back(g):
-        t, dgamma, dbeta, dx = _affine_back(g, xhat, gamma_r)
+        xh = get_xhat()
+        t, dgamma, dbeta, dx = _affine_back(g, xh, gamma_r)
         # ivar * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
         m1 = dx.sum(axis=axes, keepdims=True) / count
-        m2 = np.multiply(dx, xhat, out=t).sum(axis=axes, keepdims=True) / count
-        np.multiply(xhat, m2, out=t)
+        m2 = np.multiply(dx, xh, out=t).sum(axis=axes, keepdims=True) / count
+        np.multiply(xh, m2, out=t)
         dx -= m1
         dx -= t
         dx *= ivar
         return dx, dgamma, dbeta
 
-    return _make(data, (x, gamma, beta), back)
+    return _replayed(_make(data, (x, gamma, beta), back),
+                     lambda xh: _affine(xh, gamma_r, beta_r), get_xhat)
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,56 @@ def test_eval_refuses_a_file_as_mask_directory(trained, tmp_path, capsys,
     assert not report.exists() and masks.read_text() == "not a directory"
 
 
+OUT_TARGETS = {
+    # target -> (path under tmp_path, what the error line names)
+    "directory": ("dir", "is a directory"),
+    "under_a_file": ("file/r.json", "file is not a directory"),
+    "missing_parent": ("none/r.json", "none does not exist"),
+}
+
+
+def refuses_out(tmp_path, capsys, argv, target):
+    """``argv`` with ``--out`` at an unwritable ``target`` exits 1 with one
+    ``error: --out`` line; the inputs it names do not exist, so that line
+    shows nothing was read first."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    rel, why = OUT_TARGETS[target]
+    out = str(tmp_path / rel)
+    assert run(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(why), err
+    assert (tmp_path / "file").read_text() == "kept"
+    assert os.listdir(tmp_path / "dir") == []
+
+
+@pytest.mark.parametrize("target", sorted(OUT_TARGETS))
+def test_eval_refuses_an_unwritable_out_before_loading(tmp_path, capsys,
+                                                       target):
+    refuses_out(tmp_path, capsys, [
+        "eval", "--checkpoint", str(tmp_path / "no.hagc"), "--cache",
+        str(tmp_path / "no.hagd"), "--export-masks", str(tmp_path / "m")],
+        target)
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("target", sorted(OUT_TARGETS))
+def test_ablate_refuses_an_unwritable_out_before_loading(tmp_path, capsys,
+                                                         target):
+    refuses_out(tmp_path, capsys, [
+        "ablate", "--checkpoint", str(tmp_path / "no.hagc"), "--cache",
+        str(tmp_path / "no.hagd")], target)
+
+
+@pytest.mark.parametrize("target", sorted(OUT_TARGETS))
+def test_fuse_refuses_an_unwritable_out_before_loading(tmp_path, capsys,
+                                                       target):
+    refuses_out(tmp_path, capsys, [
+        "fuse", "--reports", str(tmp_path / "a.json"),
+        str(tmp_path / "b.json")], target)
+
+
 def test_fuse_two_streams(trained, capsys):
     joint = str(trained["dir"] / "joint.json")
     bone = str(trained["dir"] / "bone.json")

@@ -641,15 +641,109 @@ class TestBatchNormReplay:
         assert out.replay is None
 
 
+class TestLayerNormReplay:
+    """A layer norm keeps nothing of an input with a ``replay``: its backward
+    and its own replay rebuild x̂ from that replay, bit for bit."""
+
+    @staticmethod
+    def run(recompute):
+        src = randt((3, 4, 5, 2), seed=60)
+        x = T.mul(src, 1.5)  # a fresh interior array
+        gamma, beta = randt((4,), seed=61, shift=1.0), randt((4,), seed=62)
+        calls = []
+
+        def replay():
+            calls.append(1)
+            return src.data * 1.5
+
+        if recompute:
+            x.replay = replay
+        out = T.layer_norm(x, gamma, beta)
+        held = {a.shape for a in gm._arrays(out.node.backward)}
+        again = out.replay()
+        c = np.random.default_rng(63).standard_normal(out.data.shape)
+        grads = backward(T.tsum(T.mul(out, c)))
+        return (held, calls, out.data, again,
+                [grads[p.node] for p in (src, gamma, beta)])
+
+    def test_matches_the_kept_normalised_input(self):
+        held, calls, out, again, grads = self.run(recompute=True)
+        kept_held, kept_calls, want, want_again, want_grads = self.run(False)
+        assert (3, 4, 5, 2) not in held and (3, 4, 5, 2) in kept_held
+        # one call for the output's replay, one for the backward
+        assert calls == [1, 1] and kept_calls == []
+        assert same_bits(out, want) and same_bits(again, out)
+        assert same_bits(want_again, want)
+        assert all(same_bits(g, w) for g, w in zip(grads, want_grads))
+
+    def test_no_replay_without_a_graph(self):
+        x, gamma, beta = randt((3, 4, 5, 2)), randt((4,)), randt((4,))
+        x.replay = lambda: None
+        with T.no_grad():
+            out = T.layer_norm(x, gamma, beta)
+        assert out.replay is None
+
+
+class TestGram:
+    """``gram(x)`` is ``matmul(transpose(x), x)`` in one op that reads x
+    once, with the same bits forward and back."""
+
+    def test_gradient_oracle(self):
+        # the summed output is quadratic in x, so central differences carry
+        # no truncation error at any step: a wide step only cuts rounding
+        assert grad_check(T.gram, randt((2, 3, 5, 4), seed=70),
+                          eps=1e-3) <= 1e-10
+
+    @staticmethod
+    def grads(x, fn):
+        c = np.random.default_rng(71).standard_normal((2, 3, 4, 4))
+        out = fn(x)
+        return out.data, backward(T.tsum(T.mul(out, c)))
+
+    @pytest.mark.parametrize("replayed", [False, True])
+    def test_matches_the_two_node_product(self, replayed):
+        src = randt((2, 3, 5, 4), seed=72)
+        w, b = randt((3, 3, 1, 1), seed=73), randt((3,), seed=74)
+
+        def features():
+            # a conv output carries a replay; a mul output does not
+            return T.conv2d(src, w, b) if replayed else T.mul(src, 1.5)
+
+        def pair(f):
+            return T.matmul(T.transpose(f, (0, 1, 3, 2)), f)
+
+        f = features()
+        assert (f.replay is not None) == replayed
+        got, gg = self.grads(f, T.gram)
+        want, gw = self.grads(features(), pair)
+        assert same_bits(got, want)
+        assert gg.keys() == gw.keys() and src.node in gg
+        assert all(same_bits(gg[k], gw[k]) for k in gg)
+
+    def test_replay_runs_once(self):
+        src = randt((2, 3, 5, 4), seed=75)
+        f = T.mul(src, 1.5)
+        calls = []
+        f.replay = lambda: calls.append(1) or src.data * 1.5
+        backward(T.tsum(T.gram(f)))
+        assert calls == [1]
+
+    def test_rejects_other_ranks(self):
+        with pytest.raises(ValueError, match="4-D"):
+            T.gram(randt((3, 4)))
+
+
 class TestOutputReplay:
-    """In a graph a conv output replays whatever its input; relu and
-    transpose outputs replay only when their input does. A replay rebuilds
-    the output's bits."""
+    """In a graph a conv or layer norm output replays whatever its input;
+    relu and transpose outputs replay only when their input does. A replay
+    rebuilds the output's bits."""
 
     OPS = {
         "conv2d": lambda x: T.conv2d(x, randt((5, 3, 3, 1), seed=51),
                                      randt((5,), seed=52), stride=2,
                                      dilation=2, pad=2),
+        "layer_norm": lambda x: T.layer_norm(x, randt((3,), seed=55),
+                                             randt((3,), seed=56)),
         "relu": T.relu,
         "transpose": lambda x: T.transpose(x, (0, 3, 2, 1)),
     }
@@ -663,7 +757,7 @@ class TestOutputReplay:
         else:
             x = T.mul(x, 1.5)
         out = self.OPS[op](x)
-        if replayed or op == "conv2d":
+        if replayed or op in ("conv2d", "layer_norm"):
             assert same_bits(out.replay(), out.data)
         else:
             assert out.replay is None

@@ -14,6 +14,12 @@ once, for the first op that reaches it, and parameter and buffer arrays are
 not counted:
 
     python3 tools/graph_memory.py --model ntu
+
+``--arrays N`` then lists the N largest groups of kept arrays, one row per
+op, dtype and shape with the group's array count and MiB, so a reader can
+see what is left to replay:
+
+    python3 tools/graph_memory.py --model desk --arrays 12
 """
 
 from __future__ import annotations
@@ -71,11 +77,11 @@ def _arrays(fn):
     return (obj for obj in _reachable(fn) if isinstance(obj, np.ndarray))
 
 
-def held_bytes(loss, skip=()) -> dict:
-    """{op name: bytes} held by the closures of ``loss``'s graph, counting
-    no array that shares a base with one in ``skip``."""
+def kept_arrays(loss, skip=()):
+    """``(op name, base array)`` for every array the closures of ``loss``'s
+    graph hold, each base once, for the first op in backward order that
+    reaches it, and none that shares a base with an array in ``skip``."""
     seen = {id(_base(arr)) for arr in skip}
-    held = {}
     for node in reversed(T._topo(loss.node)):
         if node.backward is None:  # a leaf
             continue
@@ -84,8 +90,28 @@ def held_bytes(loss, skip=()) -> dict:
             base = _base(arr)
             if id(base) not in seen:
                 seen.add(id(base))
-                held[op] = held.get(op, 0) + base.nbytes
+                yield op, base
+
+
+def held_bytes(loss, skip=()) -> dict:
+    """{op name: bytes} held by the closures of ``loss``'s graph, counting
+    no array that shares a base with one in ``skip``."""
+    held = {}
+    for op, base in kept_arrays(loss, skip):
+        held[op] = held.get(op, 0) + base.nbytes
     return held
+
+
+def largest_arrays(loss, count: int, skip=()) -> list:
+    """The ``count`` largest ``(op, dtype, shape)`` groups of kept arrays,
+    as ``(op, dtype, shape, arrays, bytes)`` rows, most bytes first."""
+    groups = {}
+    for op, base in kept_arrays(loss, skip):
+        key = (op, base.dtype.name, base.shape)
+        arrays, nbytes = groups.get(key, (0, 0))
+        groups[key] = (arrays + 1, nbytes + base.nbytes)
+    rows = [key + value for key, value in groups.items()]
+    return sorted(rows, key=lambda row: -row[4])[:count]
 
 
 def training_loss(model, seqs):
@@ -99,17 +125,27 @@ def training_loss(model, seqs):
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--model", default="desk", choices=sorted(MODELS))
+    p.add_argument("--arrays", type=int, default=0, metavar="N",
+                   help="also list the N largest groups of kept arrays")
     args = p.parse_args(argv)
     fields, count = MODELS[args.model]
     model = Model(ModelConfig(graph=build_graph("ntu25"), **fields), seed=0)
     seqs = make_synthetic(2, frames=FRAMES, seed=0)[:count]
     state = [p.data for _, p in model.named_params()]
     state += [b for _, b in model.named_buffers()]
-    held = held_bytes(training_loss(model, seqs), skip=state)
+    loss = training_loss(model, seqs)
+    held = held_bytes(loss, skip=state)
     print(f"model {args.model}  {count} sequences of {FRAMES} frames")
     for op, nbytes in sorted(held.items(), key=lambda kv: -kv[1]):
         print(f"{op:<12} {nbytes / 2**20:8.1f} MiB")
     print(f"{'total':<12} {sum(held.values()) / 2**20:8.1f} MiB")
+    if args.arrays > 0:
+        print(f"\n{'op':<12} {'dtype':<8} {'shape':<20} {'count':>5} "
+              f"{'MiB':>8}")
+        for op, dtype, shape, arrays, nbytes in largest_arrays(
+                loss, args.arrays, skip=state):
+            print(f"{op:<12} {dtype:<8} {str(shape):<20} {arrays:>5} "
+                  f"{nbytes / 2**20:8.1f}")
     return 0
 
 
