@@ -142,7 +142,7 @@ class HybridSpatialAttention(Layer):
         for sub in self.subsets:
             y, mask = sub.forward(x, disable)
             if mask_out is not None:
-                mask_out.append(np.array(mask.data))
+                mask_out.append(mask.data)
             total = y if total is None else T.add(total, y)
             # free this subset's mask and output before the next one runs
             del y, mask

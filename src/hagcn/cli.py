@@ -159,6 +159,7 @@ def _single_thread_blas():
 
 
 def cmd_prepare(args) -> int:
+    _check_target("--out", args.out)
     if bool(args.manifest) == bool(args.synthetic):
         raise ConfigError("pass exactly one of --manifest or --synthetic")
     if args.manifest:
@@ -182,6 +183,7 @@ def _check_geometry(config: ModelConfig, seqs) -> None:
 
 
 def cmd_train(args) -> int:
+    _check_target("--out", args.out, directory=True)
     file_cfg = _load_json(args.config) if args.config else {}
     if not isinstance(file_cfg, dict):
         raise ConfigError("config file must hold a JSON object")

@@ -80,16 +80,15 @@ class BatchNorm(Layer):
         self.running_var += m * var
 
     def forward(self, x, training: bool, stats_sink=None) -> Tensor:
+        """Training uses batch statistics, appends ``(self, mean, var)`` to
+        ``stats_sink`` (required) and leaves the running statistics alone."""
         if not training:
             return T.batch_norm(x, self.gamma, self.beta, self.running_mean,
                                 self.running_var, eps=self.eps)
+        if stats_sink is None:
+            raise ValueError("a training forward needs a stats_sink")
         stats = []
         y = T.batch_norm(x, self.gamma, self.beta, eps=self.eps,
                          stats_out=stats)
-        (mean, var), = stats
-        if stats_sink is None:
-            self.apply_stats(mean, var)
-        else:
-            # deferred so shard-parallel runs can apply updates in order
-            stats_sink.append((self, mean, var))
+        stats_sink.append((self, *stats[0]))
         return y

@@ -6,11 +6,11 @@ strided 1x1 conv. The model folds the person axis into the batch, applies an
 input batch norm over channels, runs the block stack, pools over frames and
 joints, averages person features, applies dropout (training only) and a
 linear classifier. Training mode returns logits; eval mode returns softmax
-probabilities. An eval forward that builds no graph (every scoring path)
-runs an absent person, a person slot whose input is all zero, once per
-batch and gives every such slot that run's pooled features, bit for bit
-what running each would give; training runs every slot, because its batch
-statistics span absent persons too.
+probabilities. An eval forward that builds no graph and captures no masks
+(every scoring path) runs an absent person, a person slot whose input is all
+zero, once per batch and gives every such slot that run's pooled features,
+bit for bit what running each would give; training runs every slot, because
+its batch statistics span absent persons too.
 
 Checkpoints (magic ``HAGC``) embed the config as a JSON block followed by
 named parameter, buffer and optimizer-state tensors, enough to rebuild the
@@ -166,11 +166,10 @@ class Model(Layer):
                 mask_block=None, mask_out=None, stats_sink=None):
         """Run (N, M, C, T, V) input to (N, num_classes) scores.
 
-        Training mode returns logits and applies dropout (an rng is then
-        required when the configured rate is nonzero); eval mode returns
-        softmax probabilities. ``mask_block``/``mask_out`` capture the three
-        subset masks of one block as plain arrays, one row per folded slot
-        ``n * M + m`` even where absent slots share one run.
+        Training mode returns logits, applies dropout (needing an rng at a
+        nonzero rate) and needs a ``stats_sink``; eval mode returns softmax
+        probabilities. ``mask_block``/``mask_out`` capture one block's three
+        subset masks, running every slot: one row per folded slot n * M + m.
         """
         x = T.as_tensor(x)
         if x.ndim != 5:
@@ -185,27 +184,23 @@ class Model(Layer):
             raise ValueError("empty batch, person or frame axis")
 
         h = T.reshape(x, (n * m, c, t, v))
-        slots = None if training or T.grad_enabled() else _slot_rows(h.data)
-        masks = mask_out
+        slots = None
+        if not (training or T.grad_enabled() or mask_out is not None):
+            slots = _slot_rows(h.data)
         if slots is not None:
             run, index = slots
             h = T.as_tensor(h.data[run])
-            masks = None if mask_out is None else []
         h = self.data_bn.forward(h, training, stats_sink)
         for i, blk in enumerate(self.blocks):
             h = blk.forward(h, training, disable=disable,
-                            mask_out=masks if i == mask_block else None,
+                            mask_out=mask_out if i == mask_block else None,
                             stats_sink=stats_sink)
         h = T.tmean(h, axes=(2, 3))  # pool frames and joints
         if slots is not None:
             h = T.as_tensor(h.data[index])
-            if mask_out is not None:
-                mask_out.extend(mk[index] for mk in masks)
         h = T.reshape(h, (n, m, h.data.shape[1]))
         h = T.tmean(h, axes=1)  # average person features
-        if training and cfg.dropout > 0.0:
-            if rng is None:
-                raise ValueError("training forward needs an rng for dropout")
+        if training:
             h = T.dropout(h, cfg.dropout, rng)
         logits = T.add(T.matmul(h, T.transpose(self.fc_w, (1, 0))), self.fc_b)
         if training:

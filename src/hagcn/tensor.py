@@ -574,18 +574,15 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 
 
 def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
+    """Inverted dropout as ``mul(x, keep)``; x itself when rate is 0."""
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-
-    def back(g):
-        return (g * keep,)
-
-    return _make(x.data * keep, (x,), back)
+    if rng is None:
+        raise ValueError("dropout at a positive rate needs an rng")
+    return mul(x, (rng.random(x.data.shape) >= rate) / (1.0 - rate))
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +618,12 @@ def tsum(x, axes=None, keepdims: bool = False) -> Tensor:
     return _make(data, (x,), back)
 
 
-def tmean(x, axes=None, keepdims: bool = False) -> Tensor:
+def tmean(x, axes, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _norm_axes(axes, x.ndim)
     data = x.data.mean(axis=axes, keepdims=keepdims)
     shape = x.data.shape
-    if axes is None:
-        count = x.data.size
-    else:
-        count = int(np.prod([shape[a] for a in axes]))
+    count = int(np.prod([shape[a] for a in axes]))
 
     def back(g):
         return (_expand(g, axes, keepdims, shape) / count,)

@@ -134,9 +134,10 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
     """Backprop the mean cross entropy over shards.
 
     Each shard runs a full training forward/backward with its own gradient
-    map and deferred batch-norm statistics, so shards never race. Every
-    shard runs in the caller's grad mode, at any thread count. Results are
-    folded in shard index order regardless of which thread finished first.
+    map and batch-norm stats sink, so shards never race. Every shard runs in
+    the caller's grad mode, at any thread count. Results are folded in shard
+    index order regardless of which thread finished first; that fold is the
+    one place running statistics change (``BatchNorm.apply_stats``).
     Returns (mean loss, stacked logits in input order, ``{param name:
     gradient}``); the model's parameters are left untouched.
     """

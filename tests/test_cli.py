@@ -581,13 +581,20 @@ OUT_TARGETS = {
 }
 
 
-def refuses_out(tmp_path, capsys, argv, target):
+# train's --out is a directory, made with its missing parents
+OUT_DIR_TARGETS = {
+    "a_file": ("file", "file is not a directory"),
+    "under_a_file": ("file/run", "file is not a directory"),
+}
+
+
+def refuses_out(tmp_path, capsys, argv, target, targets=OUT_TARGETS):
     """``argv`` with ``--out`` at an unwritable ``target`` exits 1 with one
     ``error: --out`` line; the inputs it names do not exist, so that line
     shows nothing was read first."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("kept")
-    rel, why = OUT_TARGETS[target]
+    rel, why = targets[target]
     out = str(tmp_path / rel)
     assert run(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
@@ -621,6 +628,21 @@ def test_fuse_refuses_an_unwritable_out_before_loading(tmp_path, capsys,
     refuses_out(tmp_path, capsys, [
         "fuse", "--reports", str(tmp_path / "a.json"),
         str(tmp_path / "b.json")], target)
+
+
+@pytest.mark.parametrize("target", sorted(OUT_TARGETS))
+def test_prepare_refuses_an_unwritable_out_before_reading(tmp_path, capsys,
+                                                          target):
+    refuses_out(tmp_path, capsys, [
+        "prepare", "--manifest", str(tmp_path / "no.txt")], target)
+
+
+@pytest.mark.parametrize("target", sorted(OUT_DIR_TARGETS))
+def test_train_refuses_an_unwritable_out_before_loading(tmp_path, capsys,
+                                                        target):
+    refuses_out(tmp_path, capsys, [
+        "train", "--train-cache", str(tmp_path / "no.hagd"), "--config",
+        str(tmp_path / "no.json")], target, targets=OUT_DIR_TARGETS)
 
 
 def test_fuse_two_streams(trained, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from hagcn import evaluation as E
 from hagcn import network as N
+from hagcn import tensor as T
 from hagcn import training as tr
 from hagcn.errors import FormatError
 from hagcn.graph import build_graph
@@ -164,17 +165,30 @@ def test_capture_masks_shape_and_bounds():
         E.capture_masks(model, x, sample=99)
 
 
-def test_capture_masks_of_an_absent_slot_match_every_slot_run():
-    # sample 1 is the absent second person, which capture_masks (no graph)
-    # runs once for the batch; a forward with a graph runs every slot
+def test_capture_masks_of_an_absent_slot_match_every_slot_run(monkeypatch):
+    # samples 1 and 3 are absent second persons; a capture runs every slot,
+    # never sharing one run among them as no-graph scoring does
     model, seqs = _scoring_setup()
     x, _ = assemble_batch(seqs[:2], model.config.graph, max_frames=10)
+    assert not x[:, 1].any()
     oracle = []
     model.forward(x, training=False, mask_block=0, mask_out=oracle)
-    for sample in (1, 3):
+    calls = []
+    slot_rows = N._slot_rows
+
+    def spy(xf):
+        calls.append(len(xf))
+        return slot_rows(xf)
+
+    monkeypatch.setattr(N, "_slot_rows", spy)
+    for sample in range(4):
         masks = E.capture_masks(model, x, block=0, sample=sample)
         for m, o in zip(masks, oracle):
             assert m.tobytes() == o[sample].mean(axis=0).tobytes()
+    assert calls == []
+    with T.no_grad():
+        model.forward(x, training=False)
+    assert calls == [4]  # the spy sees scoring's call
 
 
 def test_mask_csv_round_trip_exact(tmp_path):

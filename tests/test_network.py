@@ -124,7 +124,7 @@ def test_train_forward_returns_logits():
     rng = np.random.default_rng(6)
     model = N.Model(tiny_config(), seed=6)
     out = model.forward(tiny_input(rng), training=True,
-                        rng=np.random.default_rng(0))
+                        rng=np.random.default_rng(0), stats_sink=[])
     assert out.data.shape == (2, 4)
     assert not np.allclose(out.data.sum(axis=1), 1.0)
 
@@ -133,7 +133,30 @@ def test_train_forward_requires_rng_for_dropout():
     rng = np.random.default_rng(7)
     model = N.Model(tiny_config(dropout=0.5), seed=7)
     with pytest.raises(ValueError, match="rng"):
-        model.forward(tiny_input(rng), training=True)
+        model.forward(tiny_input(rng), training=True, stats_sink=[])
+
+
+def test_train_forward_without_a_sink_raises_before_any_block(monkeypatch):
+    rng = np.random.default_rng(7)
+    model = N.Model(tiny_config(dropout=0.5), seed=7)
+    before = {k: v.copy() for k, v in model.named_buffers()}
+    ran = []
+    forward = N.Block.forward
+
+    def spy(self, *args, **kw):
+        ran.append(self)
+        return forward(self, *args, **kw)
+
+    monkeypatch.setattr(N.Block, "forward", spy)
+    with pytest.raises(ValueError, match="stats_sink"):
+        model.forward(tiny_input(rng), training=True,
+                      rng=np.random.default_rng(0))
+    assert ran == []
+    for k, v in model.named_buffers():
+        assert v.tobytes() == before[k].tobytes(), k
+    model.forward(tiny_input(rng), training=True,
+                  rng=np.random.default_rng(0), stats_sink=[])
+    assert ran == model.blocks  # the spy sees blocks that run
 
 
 def test_eval_forward_is_deterministic():

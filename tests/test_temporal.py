@@ -126,7 +126,7 @@ class TestOracleEquivalence:
                             rng=np.random.default_rng(5))
         brute.randomize_layer(br, np.random.default_rng(6))
         x = toy_input(channels=4, seed=10, t=9)
-        got = br.forward(x, training=True).data
+        got = br.forward(x, training=True, stats_sink=[]).data
         y = brute.conv1x1(x.data, br.reduce_w.data, br.reduce_b.data)
         y = brute.batch_norm_train(y, br.bn_mid.gamma.data, br.bn_mid.beta.data)
         y = np.where(y > 0, y, 0.0)
@@ -141,7 +141,10 @@ class TestState:
     def test_training_updates_running_stats(self):
         layer = toy_layer(seed=11)
         before = {n: b.copy() for n, b in layer.named_buffers()}
-        layer.forward(toy_input(seed=12), training=True)
+        sink = []
+        layer.forward(toy_input(seed=12), training=True, stats_sink=sink)
+        for bn, mean, var in sink:
+            bn.apply_stats(mean, var)
         after = dict(layer.named_buffers())
         assert all(not np.array_equal(before[n], after[n]) for n in before)
 

@@ -145,6 +145,23 @@ class TestForwardValues:
         with pytest.raises(ValueError):
             T.dropout(Tensor(np.ones(4)), 1.0, np.random.default_rng(0))
 
+    def test_dropout_needs_an_rng_at_a_positive_rate(self):
+        with pytest.raises(ValueError, match="rng"):
+            T.dropout(Tensor(np.ones(4)), 0.5, None)
+        x = Tensor(np.ones(4))
+        assert T.dropout(x, 0.0, None) is x
+
+    def test_dropout_is_a_masked_product_of_one_draw(self):
+        x = randt((6, 5), seed=4)
+        g = np.random.default_rng(5).standard_normal((6, 5))
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        out = T.dropout(x, 0.4, rng)
+        keep = (twin.random((6, 5)) >= 0.4) / (1.0 - 0.4)
+        assert out.data.tobytes() == (x.data * keep).tobytes()
+        grads = backward(T.tsum(T.mul(out, g)))
+        assert grads[x.node].tobytes() == (g * keep).tobytes()
+        assert rng.random(3).tobytes() == twin.random(3).tobytes()
+
     def test_concat_and_reductions(self):
         a, b = Tensor(np.ones((2, 3))), Tensor(np.full((2, 2), 2.0))
         out = T.concat([a, b], axis=1)

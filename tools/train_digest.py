@@ -6,11 +6,13 @@
 batches of 16. ``--model wide`` trains channels 64, 64, 128 with strides 1,
 1, 2 on 2 synthetic 32-frame sequences per class in batches of 8, so the
 GEMMs have the NTU model's widths, whose bits can move where the desk
-widths' do not. Both run with lr 0.05 and no dropout; the tool then hashes
-every parameter, buffer and SGD velocity array by name. ``--stream`` picks
-the input stream (default ``joint``); only the derived streams run the bone
-and motion transforms. Two checkouts whose arithmetic is bit-identical
-print the same digest:
+widths' do not. Both run with lr 0.05; desk has no dropout, as perfbench's
+desk_train and the release gate, and wide has the NTU default 0.5, so its
+digest also covers the dropout draw of every shard's rng. The tool then
+hashes every parameter, buffer and SGD velocity array by name.
+``--stream`` picks the input stream (default ``joint``); only the derived
+streams run the bone and motion transforms. Two checkouts whose arithmetic
+is bit-identical print the same digest:
 
     python3 tools/train_digest.py --epochs 3
     python3 tools/train_digest.py --epochs 3 --model wide
@@ -46,10 +48,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# model -> (channels, strides, train sequences per class, frames, batch size)
+# model -> (channels, strides, train sequences per class, frames, batch size,
+#           dropout)
 MODELS = {
-    "desk": ((8, 8, 16, 16), (1, 1, 2, 1), 50, 64, 16),
-    "wide": ((64, 64, 128), (1, 1, 2), 2, 32, 8),
+    "desk": ((8, 8, 16, 16), (1, 1, 2, 1), 50, 64, 16, 0.0),
+    "wide": ((64, 64, 128), (1, 1, 2), 2, 32, 8, 0.5),
 }
 
 
@@ -120,10 +123,11 @@ def main(argv=None) -> int:
     from hagcn.network import Model, ModelConfig
     from hagcn.training import TrainConfig, make_synthetic, train
 
-    channels, strides, per_class, frames, batch_size = MODELS[args.model]
+    channels, strides, per_class, frames, batch_size, dropout = \
+        MODELS[args.model]
     train_seqs = make_synthetic(per_class, frames=frames, seed=0)
     cfg = ModelConfig(num_classes=8, graph=build_graph("ntu25"),
-                      channels=channels, strides=strides, dropout=0.0)
+                      channels=channels, strides=strides, dropout=dropout)
     model = Model(cfg, seed=0)
     tcfg = TrainConfig(epochs=args.epochs, batch_size=batch_size, lr=0.05,
                        milestones=(10,), seed=0, stream=args.stream,
