@@ -28,8 +28,8 @@ from .errors import ConfigError
 from .evaluation import (ablation_report, export_masks, fuse_scores,
                          score_dataset, topk_accuracy)
 from .graph import build_graph
-from .ingest import (STREAMS, assemble_batch, load_cache, read_manifest,
-                     save_cache)
+from .ingest import (MAX_FRAMES, STREAMS, assemble_batch, load_cache,
+                     read_manifest, save_cache)
 from .network import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import (TrainConfig, make_synthetic, thread_count, train,
                        write_history)
@@ -192,6 +192,10 @@ def cmd_train(args) -> int:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if not all(isinstance(v, dict) for v in file_cfg.values()):
         raise ConfigError("config sections must be JSON objects")
+    train_d = dict(file_cfg.get("train", {}))
+    if args.stream is not None:  # one config file trains every stream
+        train_d["stream"] = args.stream
+    train_cfg = TrainConfig.from_dict(train_d)  # before any cache loads
 
     train_seqs = load_cache(args.train_cache)
     val_seqs = load_cache(args.val_cache) if args.val_cache else []
@@ -208,11 +212,6 @@ def cmd_train(args) -> int:
     if isinstance(graph, str):  # a built-in name; from_dict checks the rest
         model_d["graph"] = build_graph(graph).to_dict()
     model_cfg = ModelConfig.from_dict(model_d)
-
-    train_d = dict(file_cfg.get("train", {}))
-    if args.stream is not None:  # one config file trains every stream
-        train_d["stream"] = args.stream
-    train_cfg = TrainConfig.from_dict(train_d)
 
     bad = [s.label for s in train_seqs + val_seqs
            if not 0 <= s.label < model_cfg.num_classes]
@@ -272,6 +271,9 @@ def _scoring_inputs(args):
         if value < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be at least "
                               f"1, got {value}")
+    if args.max_frames > MAX_FRAMES:
+        raise ConfigError(f"--max-frames must be at most {MAX_FRAMES}, "
+                          f"got {args.max_frames}")
     _check_target("--out", args.out)
     model, epoch, _ = load_checkpoint(args.checkpoint)
     seqs = load_cache(args.cache)

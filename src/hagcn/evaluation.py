@@ -138,12 +138,14 @@ def capture_masks(model: Model, x, block: int = 0, sample: int = 0,
     """Channel-averaged (V, V) masks of one block for one folded sample."""
     if not 0 <= block < len(model.blocks):
         raise ValueError(f"block must be in [0, {len(model.blocks)})")
+    x = T.as_tensor(x)
+    slots = int(np.prod(x.data.shape[:2]))  # N * M folded samples
+    if not 0 <= sample < slots:
+        raise ValueError(f"sample must be in [0, {slots})")
     masks = []
     with T.no_grad():
         model.forward(x, training=False, disable=disable, mask_block=block,
                       mask_out=masks)
-    if not 0 <= sample < masks[0].shape[0]:
-        raise ValueError(f"sample must be in [0, {masks[0].shape[0]})")
     return [m[sample].mean(axis=0) for m in masks]
 
 

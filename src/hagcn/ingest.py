@@ -30,6 +30,7 @@ CACHE_MAGIC = b"HAGD"
 STREAMS = ("joint", "bone", "joint_motion", "bone_motion")
 MAX_PERSONS = 2  # persons per frame: what the parsers keep and batches hold
 MAX_COORD = 1e6  # largest |coordinate|; real data is metres or pixels
+MAX_FRAMES = 10_000  # most frames a batch or synthetic draw takes: 33x 300
 
 
 @dataclass

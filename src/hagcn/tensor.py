@@ -589,44 +589,29 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
 # reductions and shape moves
 
 
-def _norm_axes(axes, ndim):
-    if axes is None:
-        return None
-    if isinstance(axes, int):
-        axes = (axes,)
-    return tuple(sorted(a % ndim for a in axes))
-
-
-def _expand(g, axes, keepdims: bool, shape) -> np.ndarray:
-    """Broadcast a reduction's upstream gradient back to the input shape."""
-    if axes is None:
-        g = np.asarray(g).reshape((1,) * len(shape))
-    elif not keepdims:
-        g = np.expand_dims(g, axes)
-    return np.broadcast_to(g, shape)
-
-
-def tsum(x, axes=None, keepdims: bool = False) -> Tensor:
+def tsum(x) -> Tensor:
+    """The sum of every element, a 0-d Tensor."""
     x = as_tensor(x)
-    axes = _norm_axes(axes, x.ndim)
-    data = x.data.sum(axis=axes, keepdims=keepdims)
     shape = x.data.shape
 
     def back(g):
-        return (_expand(g, axes, keepdims, shape),)
+        return (np.broadcast_to(g, shape),)
 
-    return _make(data, (x,), back)
+    return _make(x.data.sum(), (x,), back)
 
 
 def tmean(x, axes, keepdims: bool = False) -> Tensor:
+    """Mean over ``axes``, an int or a sequence, as numpy takes them."""
     x = as_tensor(x)
-    axes = _norm_axes(axes, x.ndim)
+    axes = (axes,) if isinstance(axes, int) else tuple(axes)
     data = x.data.mean(axis=axes, keepdims=keepdims)
     shape = x.data.shape
     count = int(np.prod([shape[a] for a in axes]))
 
     def back(g):
-        return (_expand(g, axes, keepdims, shape) / count,)
+        if not keepdims:
+            g = np.expand_dims(g, axes)
+        return (np.broadcast_to(g, shape) / count,)
 
     return _make(data, (x,), back)
 

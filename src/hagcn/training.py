@@ -25,14 +25,15 @@ from . import tensor as T
 from .errors import (ConfigError, TrainingDiverged, config_int, config_ints,
                      config_keys, config_real)
 from .evaluation import score_dataset, topk_accuracy
-from .ingest import STREAMS, SkeletonSequence, assemble_batch
+from .ingest import MAX_FRAMES, STREAMS, SkeletonSequence, assemble_batch
 from .network import Model
 
 THREADS_ENV = "HAGCN_THREADS"
 
 
-def thread_count(env=None) -> int:
-    raw = (env if env is not None else os.environ).get(THREADS_ENV, "1")
+def thread_count() -> int:
+    """Worker threads from ``HAGCN_THREADS``: an integer >= 1, default 1."""
+    raw = os.environ.get(THREADS_ENV, "1")
     try:
         n = int(raw)
     except ValueError:
@@ -130,11 +131,12 @@ def shard_batch(x: np.ndarray, labels: np.ndarray, micro_batch: int = 0):
             for i in range(0, n, micro_batch)]
 
 
-def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
+def accumulate_gradients(model: Model, shards, step_rng, threads: int = 1):
     """Backprop the mean cross entropy over shards.
 
     Each shard runs a full training forward/backward with its own gradient
-    map and batch-norm stats sink, so shards never race. Every shard runs in
+    map, batch-norm stats sink and child of ``step_rng`` (one spawned per
+    shard, for its dropout draw), so shards never race. Every shard runs in
     the caller's grad mode, at any thread count. Results are folded in shard
     index order regardless of which thread finished first; that fold is the
     one place running statistics change (``BatchNorm.apply_stats``).
@@ -144,10 +146,7 @@ def accumulate_gradients(model: Model, shards, step_rng=None, threads: int = 1):
     if not shards:
         raise ValueError("no shards to process")
     n_total = sum(len(y) for _, y in shards)
-    if step_rng is not None:
-        shard_rngs = step_rng.spawn(len(shards))
-    else:
-        shard_rngs = [None] * len(shards)
+    shard_rngs = step_rng.spawn(len(shards))
 
     def run(i: int):
         x, y = shards[i]
@@ -277,6 +276,8 @@ def make_synthetic(per_class: int, frames: int = 64, seed: int = 0,
     for name, value in (("per_class", per_class), ("frames", frames)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if frames > MAX_FRAMES:
+        raise ValueError(f"frames must be at most {MAX_FRAMES}, got {frames}")
     rng = np.random.default_rng(seed)
     seqs = []
     for label in range(classes):
@@ -289,10 +290,10 @@ def make_synthetic(per_class: int, frames: int = 64, seed: int = 0,
 
 
 def synthetic_split(per_train: int = 50, per_val: int = 20, frames: int = 64,
-                    seed: int = 0, classes: int = NUM_TEMPLATES):
-    """Disjoint train and validation draws from the same template set."""
-    train = make_synthetic(per_train, frames, seed, classes)
-    val = make_synthetic(per_val, frames, seed + 10_000, classes)
+                    seed: int = 0):
+    """Disjoint train and validation draws of all ``NUM_TEMPLATES`` classes."""
+    train = make_synthetic(per_train, frames, seed)
+    val = make_synthetic(per_val, frames, seed + 10_000)
     return train, val
 
 
@@ -316,6 +317,9 @@ class TrainConfig:
         for name, low in (("epochs", 1), ("batch_size", 1), ("micro_batch", 0),
                           ("seed", None), ("max_frames", 1)):
             setattr(self, name, config_int(name, getattr(self, name), low))
+        if self.max_frames > MAX_FRAMES:
+            raise ConfigError(f"max_frames must be at most {MAX_FRAMES}, "
+                              f"got {self.max_frames}")
         self.milestones = config_ints("milestones", self.milestones)
         for name in ("lr", "lr_factor"):
             config_real(name, getattr(self, name))

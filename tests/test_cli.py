@@ -14,8 +14,8 @@ import pytest
 from hagcn import cli
 from hagcn.evaluation import capture_masks, read_mask_csv, read_pgm
 from hagcn.graph import build_graph
-from hagcn.ingest import (SkeletonSequence, assemble_batch, load_cache,
-                          save_cache)
+from hagcn.ingest import (MAX_FRAMES, SkeletonSequence, assemble_batch,
+                          load_cache, save_cache)
 from hagcn.network import load_checkpoint, save_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -91,6 +91,17 @@ def test_prepare_rejects_empty_synthetic_draw(tmp_path, capsys, flag, value):
                 flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frames", [MAX_FRAMES + 1, 10**11])
+def test_prepare_refuses_frames_past_the_bound(tmp_path, capsys, frames):
+    # refused before the first template is drawn
+    out = tmp_path / "c.hagd"
+    assert run(["prepare", "--synthetic", "--out", str(out),
+                "--frames", str(frames)]) == 1
+    assert capsys.readouterr().err == (f"error: frames must be at most "
+                                       f"{MAX_FRAMES}, got {frames}\n")
     assert not out.exists()
 
 
@@ -273,6 +284,20 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
         assert code == 1, bad
         assert "error:" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "run")
+
+
+def test_train_refuses_max_frames_past_the_bound(tmp_path, capsys):
+    # refused before any cache is read: the missing one is not reported
+    cfg = dict(TINY_CONFIG, train=dict(TINY_CONFIG["train"],
+                                       max_frames=10**12))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "run"
+    assert run(["train", "--train-cache", str(tmp_path / "missing.hagd"),
+                "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: max_frames must be at most "
+                                       f"{MAX_FRAMES}, got {10**12}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value", [("momentum", 0.9),
@@ -733,6 +758,21 @@ def test_scoring_rejects_max_frames_below_one(trained, tmp_path, capsys,
                 "--max-frames", frames] + extra) == 1
     assert capsys.readouterr().err == (f"error: --max-frames must be at "
                                        f"least 1, got {frames}\n")
+    assert not out.exists() and not masks.exists()
+
+
+@pytest.mark.parametrize("verb", ["eval", "ablate"])
+@pytest.mark.parametrize("frames", [MAX_FRAMES + 1, 10**12])
+def test_scoring_refuses_max_frames_past_the_bound(tmp_path, capsys, verb,
+                                                   frames):
+    # checked by flag name before the checkpoint or cache is read
+    out, masks = tmp_path / "r.json", tmp_path / "masks"
+    extra = ["--export-masks", str(masks)] if verb == "eval" else []
+    assert run([verb, "--checkpoint", str(tmp_path / "missing.hagc"),
+                "--cache", str(tmp_path / "missing.hagd"), "--out", str(out),
+                "--max-frames", str(frames)] + extra) == 1
+    assert capsys.readouterr().err == (f"error: --max-frames must be at "
+                                       f"most {MAX_FRAMES}, got {frames}\n")
     assert not out.exists() and not masks.exists()
 
 

@@ -165,6 +165,18 @@ def test_capture_masks_shape_and_bounds():
         E.capture_masks(model, x, sample=99)
 
 
+def test_capture_masks_checks_the_sample_before_the_forward(monkeypatch):
+    # two sequences of two person slots fold to 4 samples
+    model, seqs = _scoring_setup()
+    x, _ = assemble_batch(seqs[:2], model.config.graph, max_frames=10)
+    calls = []
+    monkeypatch.setattr(model, "forward", lambda *a, **k: calls.append(a))
+    for sample in (4, 99, -1):
+        with pytest.raises(ValueError, match=r"sample must be in \[0, 4\)"):
+            E.capture_masks(model, x, block=0, sample=sample)
+    assert calls == []
+
+
 def test_capture_masks_of_an_absent_slot_match_every_slot_run(monkeypatch):
     # samples 1 and 3 are absent second persons; a capture runs every slot,
     # never sharing one run among them as no-graph scoring does

@@ -169,6 +169,20 @@ class TestForwardValues:
         assert np.isclose(T.tsum(out).data, 14.0)
         assert np.isclose(T.tmean(out, axes=1).data.mean(), 1.4)
 
+    @pytest.mark.parametrize("axes, np_axes, keepdims", [
+        (-2, -2, False), (-1, -1, True), ([2, 0], (2, 0), False),
+        ([-1, 1], (-1, 1), True)])
+    def test_tmean_takes_axes_as_numpy_does(self, axes, np_axes, keepdims):
+        x = randt((2, 3, 4), seed=8)
+        out = T.tmean(x, axes=axes, keepdims=keepdims)
+        want = x.data.mean(axis=np_axes, keepdims=keepdims)
+        assert out.data.shape == want.shape
+        assert out.data.tobytes() == want.tobytes()
+
+    def test_tmean_refuses_a_repeated_axis(self):
+        with pytest.raises(ValueError):
+            T.tmean(randt((2, 3)), axes=(1, -1))
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -254,8 +268,10 @@ FD_CASES = [
     ("tanh", T.tanh, (4, 4), 0.0),
     ("softmax", lambda t: T.softmax(t, axis=1), (3, 5), 0.0),
     ("log_softmax", lambda t: T.log_softmax(t, axis=1), (3, 5), 0.0),
-    ("sum_axes", lambda t: T.tsum(t, axes=(0, 2)), (2, 3, 4), 0.0),
+    ("sum", T.tsum, (2, 3, 4), 0.0),
     ("mean_keepdims", lambda t: T.tmean(t, axes=1, keepdims=True), (3, 4), 0.0),
+    ("mean_negative_axis", lambda t: T.tmean(t, axes=-2), (2, 3, 4), 0.0),
+    ("mean_axes_list", lambda t: T.tmean(t, axes=[2, 0]), (2, 3, 4), 0.0),
     ("reshape", lambda t: T.reshape(t, (6, 2)), (3, 4), 0.0),
     ("transpose", lambda t: T.transpose(t, (2, 0, 1)), (2, 3, 4), 0.0),
     ("concat", lambda t: T.concat([t, T.mul(t, t)], axis=0), (2, 3), 0.0),
@@ -468,7 +484,7 @@ SHAPE = (2, 3, 4, 5)
 UNREAD_INPUT = {
     "add": (lambda h, p: T.add(h, p[0]), [SHAPE]),
     "sub": (lambda h, p: T.sub(p[0], h), [SHAPE]),
-    "tsum": (lambda h, p: T.tsum(h, axes=(0, 2)), []),
+    "tsum": (lambda h, p: T.tsum(h), []),
     "tmean": (lambda h, p: T.tmean(h, axes=1, keepdims=True), []),
     "reshape": (lambda h, p: T.reshape(h, (6, 20)), []),
     "concat": (lambda h, p: T.concat([h, p[0]], axis=1), [SHAPE]),

@@ -12,6 +12,7 @@ from hagcn import tensor as T
 from hagcn import training as tr
 from hagcn.errors import ConfigError, TrainingDiverged
 from hagcn.graph import build_graph
+from hagcn.ingest import MAX_FRAMES
 
 from brute import randomize_layer
 from test_network import tiny_config, tiny_graph
@@ -249,7 +250,7 @@ def test_sharded_loss_matches_batch_mean():
     x, y = _batch()
     model = _fresh_model()
     loss, _, _ = tr.accumulate_gradients(model, tr.shard_batch(x, y, 2),
-                                         None, threads=1)
+                                         np.random.default_rng(0), threads=1)
     # per-shard means recombined with n_s/N weights equal the batch mean
     per_shard = []
     fresh = _fresh_model()
@@ -264,13 +265,17 @@ def test_accumulate_requires_shards():
         tr.accumulate_gradients(_fresh_model(), [], None)
 
 
-def test_thread_count_env_parsing():
-    assert tr.thread_count({}) == 1
-    assert tr.thread_count({"HAGCN_THREADS": "4"}) == 4
+def test_thread_count_env_parsing(monkeypatch):
+    monkeypatch.delenv("HAGCN_THREADS", raising=False)
+    assert tr.thread_count() == 1
+    monkeypatch.setenv("HAGCN_THREADS", "4")
+    assert tr.thread_count() == 4
+    monkeypatch.setenv("HAGCN_THREADS", "fast")
     with pytest.raises(ConfigError, match="integer"):
-        tr.thread_count({"HAGCN_THREADS": "fast"})
+        tr.thread_count()
+    monkeypatch.setenv("HAGCN_THREADS", "0")
     with pytest.raises(ConfigError, match="at least 1"):
-        tr.thread_count({"HAGCN_THREADS": "0"})
+        tr.thread_count()
 
 
 # -- synthetic data ---------------------------------------------------------
@@ -349,6 +354,14 @@ def test_train_config_holds_only_what_a_run_changes():
     assert {f.name for f in fields(tr.TrainConfig)} == {
         "epochs", "batch_size", "micro_batch", "lr", "milestones",
         "lr_factor", "seed", "stream", "max_frames"}
+
+
+def test_train_config_bounds_max_frames():
+    assert tr.TrainConfig(max_frames=MAX_FRAMES).max_frames == MAX_FRAMES
+    for frames in (MAX_FRAMES + 1, 10**12):
+        with pytest.raises(ConfigError,
+                           match=f"max_frames must be at most {MAX_FRAMES}"):
+            tr.TrainConfig.from_dict({"max_frames": frames})
 
 
 def test_train_config_has_no_person_budget():

@@ -31,7 +31,10 @@ processes with the same arguments, prints both and exits 1 if they differ
 BLAS is pinned to one thread so that only the shard threads vary. Each
 digest line ends with the peak resident set size of the process that trained
 (``ru_maxrss``, read as KiB as Linux reports it), so one ``--against`` run
-shows both bit-identity and the memory change.
+shows both bit-identity and the memory change. Compare that RSS at
+``--threads 1`` on an idle machine: with more threads it depends on how far
+the shards' graphs overlap in time, and so on the load on the machine, and
+``--against`` says so under the digests.
 """
 
 from __future__ import annotations
@@ -94,6 +97,9 @@ def compare(args) -> int:
                                  stdout=subprocess.PIPE, text=True).stdout
             digests.append(out.splitlines()[-1].split()[0])
             print(f"{label}: {out.strip()}", flush=True)
+    if args.threads > 1:
+        print(f"note: peak_rss_mb at --threads {args.threads} depends on the "
+              f"machine's load; compare it at --threads 1 on an idle machine")
     if digests[0] != digests[1]:
         print("digests differ")
         return 1
