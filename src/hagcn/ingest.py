@@ -31,6 +31,9 @@ STREAMS = ("joint", "bone", "joint_motion", "bone_motion")
 MAX_PERSONS = 2  # persons per frame: what the parsers keep and batches hold
 MAX_COORD = 1e6  # largest |coordinate|; real data is metres or pixels
 MAX_FRAMES = 10_000  # most frames a batch or synthetic draw takes: 33x 300
+# most frames, summed over its sequences, one synthetic draw makes: 600 MB
+# of float64 coordinates, 39x the 50-per-class 64-frame draw of 25,600
+MAX_DRAW_FRAMES = 1_000_000
 
 
 @dataclass

@@ -19,21 +19,24 @@ gradients actually needed read. An activation is therefore freed as soon as
 its Tensor and the last closure that reads it are gone, not when the graph
 is. Where an operand can be rebuilt from arrays the graph keeps anyway, it
 is not kept at all: an op output that carries a ``replay``, a zero-argument
-function returning its data bit for bit in a fresh array the caller may
-overwrite, is read through that function in backward, and no op keeps an
-operand that has one. One rule makes every replay (``_replayed`` sets them
-all): an op's replay reruns the op's own kernel, the one that made its
-output, on its input's replay or on the input it keeps. A conv reruns on
-either, a batch norm's affine step on the normalised input it keeps, relu
-and transpose only on an input's replay. A layer norm reruns its
-normalisation and affine step on its input's replay, keeping only the
-per-sample mean and scale, or, on an input without one, its affine step on
-the normalised input it keeps. So a conv after a batch norm, an attention
-product of two conv outputs and a layer norm after a conv keep nothing of
-those inputs, and ``gram`` (the angle mask's ``xᵀx``) reads its replayed
-input once for both factors. The graph is also one-shot: ``backward`` drops
-each closure once it has run, so saved arrays free as the walk proceeds,
-and a second walk over a spent graph raises RuntimeError.
+function returning its data bit for bit, is read through that function in
+backward, and no op keeps an operand that has one. A replay runs once per
+graph: its first call computes the array, and every call returns that same
+array, read-only, so a reader that tried to write it would raise. The array
+lives in the replay's closure and is freed with the last closure that can
+call it. One rule makes every replay (``_replayed`` sets them all): an op's
+replay reruns the op's own kernel, the one that made its output, on its
+input's replay or on the input it keeps. A conv reruns on either, relu and
+transpose only on an input's replay. A batch norm or layer norm reruns its
+affine step on its normalised input x̂: on an input with a replay it keeps
+only the mean and scale and rebuilds x̂ as ``(x - mean) * ivar`` from that
+replay, and on any other input it keeps x̂. So a conv after a batch norm, a
+norm after a conv and an attention product of two conv outputs keep
+nothing of those inputs, and ``gram`` (the angle mask's ``xᵀx``) reads its
+replayed input once for both factors. The graph is also one-shot:
+``backward`` drops each closure once it has run, so saved arrays free as
+the walk proceeds, and a second walk over a spent graph raises
+RuntimeError.
 
 Closures read parameter arrays live, never copies, so a parameter must not
 change between a forward pass and its backward.
@@ -170,9 +173,20 @@ def _make(data, parents, backward_fn) -> Tensor:
 def _replayed(out: Tensor, kernel, source) -> Tensor:
     """``out``, whose data ``kernel`` made from its input, given the replay
     ``kernel(source())`` when it has a graph node and ``source`` is not
-    None: without a node no closure reads it, so nothing needs rebuilding."""
+    None: without a node no closure reads it, so nothing needs rebuilding.
+    The replay runs the kernel on its first call only and returns that one
+    read-only array on every call; the array is freed with the replay."""
     if out.node is not None and source is not None:
-        out.replay = lambda: kernel(source())
+        data = None
+
+        def replay():
+            nonlocal data
+            if data is None:
+                data = kernel(source())
+                data.flags.writeable = False
+            return data
+
+        out.replay = replay
     return out
 
 
@@ -416,6 +430,23 @@ def _affine_back(g, xhat, gamma_r):
     return t, dgamma, dbeta, g * gamma_r
 
 
+def _normalised(x: Tensor, xhat: np.ndarray, mean, ivar):
+    """A function returning a norm's x̂ for its backward and its output's
+    replay. On an input with a replay it keeps nothing of x̂ or x: only
+    ``mean`` and ``ivar`` stay, and x̂ is rebuilt as ``(x - mean) * ivar``
+    from that replay, the ops that made ``xhat``. Otherwise it keeps x̂."""
+    src = x.replay
+    if src is None:
+        return lambda: xhat
+
+    def rebuild():
+        xh = src() - mean
+        xh *= ivar
+        return xh
+
+    return rebuild
+
+
 def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
                stats_out=None) -> Tensor:
     """Per-channel normalization over axes (N, T, V) of a 4-D input.
@@ -426,8 +457,9 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
     ``(mean, var)`` pair of (C,) arrays. With ``mean``/``var`` given, those
     plain (C,) arrays are treated as constants (running statistics at eval
     time). The op never mutates them; the owning layer maintains running
-    state. The output replays by rerunning its affine kernel on the
-    normalised input the backward keeps anyway.
+    state. The backward reads the normalised input x̂, kept or rebuilt from
+    the input's replay (see ``_normalised``); the output replays by
+    rerunning its affine kernel on that x̂.
     """
     x, gamma, beta, gamma_r = _affine_args("batch_norm", x, gamma, beta)
     n, c, t, v = x.data.shape
@@ -445,7 +477,8 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
         if stats_out is not None:
             stats_out.append((mean.reshape(c), var.reshape(c)))
     else:
-        xhat = x.data - np.asarray(mean, dtype=np.float64).reshape(gamma_r.shape)
+        mean = np.asarray(mean, dtype=np.float64).reshape(gamma_r.shape)
+        xhat = x.data - mean
         var = np.asarray(var, dtype=np.float64).reshape(gamma_r.shape)
         # without a graph nothing reads xhat again: the output may overwrite it
         out = np.empty_like(xhat) if graph else xhat
@@ -453,14 +486,16 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
     xhat *= ivar
     beta_r = beta.data.reshape(gamma_r.shape)
     data = _affine(xhat, gamma_r, beta_r, out)
+    get_xhat = _normalised(x, xhat, mean, ivar)
 
     def back(g):
-        t, dgamma, dbeta, dx = _affine_back(g, xhat, gamma_r)
+        xh = get_xhat()
+        t, dgamma, dbeta, dx = _affine_back(g, xh, gamma_r)
         if batch_stats:
             # (ivar / count) * (count * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
             s1 = dx.sum(axis=axes, keepdims=True)
-            s2 = np.multiply(dx, xhat, out=t).sum(axis=axes, keepdims=True)
-            np.multiply(xhat, s2, out=t)
+            s2 = np.multiply(dx, xh, out=t).sum(axis=axes, keepdims=True)
+            np.multiply(xh, s2, out=t)
             dx *= count
             dx -= s1
             dx -= t
@@ -470,16 +505,15 @@ def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,
         return dx, dgamma, dbeta
 
     return _replayed(_make(data, (x, gamma, beta), back),
-                     lambda xd: _affine(xd, gamma_r, beta_r), lambda: xhat)
+                     lambda xd: _affine(xd, gamma_r, beta_r), get_xhat)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Per-sample normalization over (C, T, V) with per-channel affine.
 
-    The backward reads the normalised input. An input with a replay keeps
-    nothing of it: only the per-sample mean and ``ivar`` stay, and x̂ is
-    rebuilt as ``(x - mean) * ivar`` from that replay. Otherwise x̂ is kept.
-    The output replays by rerunning its affine kernel on that x̂.
+    The backward reads the normalised input x̂, kept or rebuilt from the
+    input's replay (see ``_normalised``); the output replays by rerunning
+    its affine kernel on that x̂.
     """
     x, gamma, beta, gamma_r = _affine_args("layer_norm", x, gamma, beta)
     n, c, t, v = x.data.shape
@@ -490,17 +524,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     xhat *= ivar
     beta_r = beta.data.reshape(gamma_r.shape)
     data = _affine(xhat, gamma_r, beta_r, out)
-    src = x.replay
-    if src is None:
-        def get_xhat():
-            return xhat
-    else:
-        def get_xhat():
-            # the ops _moments and the scaling above ran, on the fresh replay
-            xh = src()
-            xh -= mean
-            xh *= ivar
-            return xh
+    get_xhat = _normalised(x, xhat, mean, ivar)
 
     def back(g):
         xh = get_xhat()

@@ -25,7 +25,8 @@ from . import tensor as T
 from .errors import (ConfigError, TrainingDiverged, config_int, config_ints,
                      config_keys, config_real)
 from .evaluation import score_dataset, topk_accuracy
-from .ingest import MAX_FRAMES, STREAMS, SkeletonSequence, assemble_batch
+from .ingest import (MAX_DRAW_FRAMES, MAX_FRAMES, STREAMS, SkeletonSequence,
+                     assemble_batch)
 from .network import Model
 
 THREADS_ENV = "HAGCN_THREADS"
@@ -278,6 +279,10 @@ def make_synthetic(per_class: int, frames: int = 64, seed: int = 0,
             raise ValueError(f"{name} must be at least 1, got {value}")
     if frames > MAX_FRAMES:
         raise ValueError(f"frames must be at most {MAX_FRAMES}, got {frames}")
+    total = per_class * classes * frames
+    if total > MAX_DRAW_FRAMES:
+        raise ValueError(f"per_class * classes * frames must be at most "
+                         f"{MAX_DRAW_FRAMES}, got {total}")
     rng = np.random.default_rng(seed)
     seqs = []
     for label in range(classes):

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from hagcn import cli
+from hagcn import training as tr
 from hagcn.evaluation import capture_masks, read_mask_csv, read_pgm
 from hagcn.graph import build_graph
-from hagcn.ingest import (MAX_FRAMES, SkeletonSequence, assemble_batch,
-                          load_cache, save_cache)
+from hagcn.ingest import (MAX_DRAW_FRAMES, MAX_FRAMES, SkeletonSequence,
+                          assemble_batch, load_cache, save_cache)
 from hagcn.network import load_checkpoint, save_checkpoint
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -102,6 +103,23 @@ def test_prepare_refuses_frames_past_the_bound(tmp_path, capsys, frames):
                 "--frames", str(frames)]) == 1
     assert capsys.readouterr().err == (f"error: frames must be at most "
                                        f"{MAX_FRAMES}, got {frames}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("per_class, classes, frames", [
+    (MAX_DRAW_FRAMES // 64 // 8 + 1, 8, 64), (10**12, 1, 1),
+    (10**5, 8, MAX_FRAMES)])
+def test_prepare_refuses_a_draw_past_the_bound(tmp_path, capsys, monkeypatch,
+                                               per_class, classes, frames):
+    # refused before the first template is drawn, so nothing is allocated
+    monkeypatch.setattr(tr, "_template", lambda *a: pytest.fail("drawn"))
+    out = tmp_path / "c.hagd"
+    assert run(["prepare", "--synthetic", "--out", str(out),
+                "--per-class", str(per_class), "--classes", str(classes),
+                "--frames", str(frames)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: per_class * classes * frames must be at most "
+        f"{MAX_DRAW_FRAMES}, got {per_class * classes * frames}\n")
     assert not out.exists()
 
 

@@ -54,15 +54,17 @@ def total_mib(capsys, model):
     return float(total[1])
 
 
-def test_desk_batch_stays_under_100_mib(capsys):
-    # 92.3 MiB with every replay, 141.5 MiB when the layer norms keep their
-    # normalised inputs; the shapes are fixed, so the count is deterministic
-    assert total_mib(capsys, "desk") < 100
+def test_desk_batch_stays_under_70_mib(capsys):
+    # 64.2 MiB with every replay, 92.3 MiB when the temporal batch norms keep
+    # their normalised inputs; the shapes are fixed, so the count is
+    # deterministic
+    assert total_mib(capsys, "desk") < 70
 
 
-def test_ntu_shard_stays_under_215_mib(capsys):
-    # 210.4 MiB with every replay, 243.8 MiB when the layer norms keep theirs
-    assert total_mib(capsys, "ntu") < 215
+def test_ntu_shard_stays_under_150_mib(capsys):
+    # 141.6 MiB with every replay, 210.4 MiB when the temporal batch norms
+    # keep theirs
+    assert total_mib(capsys, "ntu") < 150
 
 
 def test_arrays_lists_no_normalised_input(capsys):
@@ -131,29 +133,30 @@ def test_desk_input_norm_output_dies_after_forward():
         for a, b in zip(got, want))
 
 
-def compression_grads(monkeypatch, keep_conv, seqs):
-    """Gradients of a desk training step, and which of every attention
-    compression's conv output, normalised input x̂ and layer-norm output
-    outlive the forward; ``keep_conv`` clears the conv outputs' replays,
-    so each layer norm keeps its x̂."""
+def conv_norm_grads(monkeypatch, op, keep_conv, seqs):
+    """Gradients of a desk training step, and which of every ``op`` norm's
+    conv-output input, normalised input x̂ and output outlive the forward;
+    ``keep_conv`` clears the conv outputs' replays, so each of those norms
+    keeps its x̂."""
     model = desk_model()
-    layer_norm, moments, refs = T.layer_norm, T._moments, []
-
-    def norm_spy(x, *args, **kw):
-        if keep_conv:
-            x.replay = None
-        y = layer_norm(x, *args, **kw)
-        refs[-1][0] = weakref.ref(x.data)
-        refs[-1].append(weakref.ref(y.data))
-        return y
+    norm, moments, last, refs = getattr(T, op), T._moments, [], []
 
     def moments_spy(xd, axes, count):
         out = moments(xd, axes, count)
-        if axes == (1, 2, 3):  # a layer norm's x̂ is its centred input
-            refs.append([None, weakref.ref(out[1])])
+        last[:] = [weakref.ref(out[1])]  # a norm's x̂ is its centred input
         return out
 
-    monkeypatch.setattr(T, "layer_norm", norm_spy)
+    def norm_spy(x, *args, **kw):
+        # in the desk model only conv outputs reach a norm with a replay
+        conv = x.replay is not None
+        if conv and keep_conv:
+            x.replay = None
+        y = norm(x, *args, **kw)
+        if conv:
+            refs.append((weakref.ref(x.data), last[0], weakref.ref(y.data)))
+        return y
+
+    monkeypatch.setattr(T, op, norm_spy)
     monkeypatch.setattr(T, "_moments", moments_spy)
     loss = gm.training_loss(model, seqs)
     monkeypatch.undo()
@@ -163,17 +166,26 @@ def compression_grads(monkeypatch, keep_conv, seqs):
     return len(refs), alive, [grads[p.node] for _, p in model.named_params()]
 
 
-def test_desk_compressions_keep_nothing_after_forward(monkeypatch):
+def check_conv_norms_keep_nothing(monkeypatch, op, count):
     seqs = make_synthetic(2, frames=16, seed=0)[:4]
-    count, alive, got = compression_grads(monkeypatch, False, seqs)
-    # 4 blocks, 3 subsets, a distance and an angle compression each
-    assert count == 24
+    got_count, alive, got = conv_norm_grads(monkeypatch, op, False, seqs)
+    assert got_count == count
     assert alive == {"conv": False, "xhat": False, "norm": False}
-    _, kept, want = compression_grads(monkeypatch, True, seqs)
+    _, kept, want = conv_norm_grads(monkeypatch, op, True, seqs)
     assert kept == {"conv": False, "xhat": True, "norm": False}
     assert len(got) == len(want) and all(
         a.shape == b.shape and a.tobytes() == b.tobytes()
         for a, b in zip(got, want))
+
+
+def test_desk_compressions_keep_nothing_after_forward(monkeypatch):
+    # 4 blocks, 3 subsets, a distance and an angle compression each
+    check_conv_norms_keep_nothing(monkeypatch, "layer_norm", 24)
+
+
+def test_desk_temporal_norms_keep_nothing_after_forward(monkeypatch):
+    # 4 blocks, 4 branches, a bn_mid and a bn_out each
+    check_conv_norms_keep_nothing(monkeypatch, "batch_norm", 32)
 
 
 def test_no_desk_closure_reaches_a_tensor():
@@ -185,26 +197,52 @@ def test_no_desk_closure_reaches_a_tensor():
                 if any(isinstance(obj, Tensor) for obj in gm._reachable(fn))]
 
 
-def test_every_desk_replay_rebuilds_its_output(monkeypatch):
-    # every output the engine gives a replay, across a whole training
-    # forward, rebuilds its data bit for bit, in a fresh array, from what
-    # the graph keeps
+def desk_replays(monkeypatch):
+    """A desk training loss, and per output the engine gave a replay, the
+    op that made it, the output and the list its kernel appends to on each
+    run."""
     made, replayed = [], T._replayed
 
-    def record(*args, **kw):
-        out = replayed(*args, **kw)
-        made.append((sys._getframe(1).f_code.co_name, out))
+    def record(out, kernel, source):
+        runs = []
+
+        def counted(xd):
+            runs.append(1)
+            return kernel(xd)
+
+        out = replayed(out, counted, source)
+        if out.replay is not None:
+            made.append((sys._getframe(1).f_code.co_name, out, runs))
         return out
 
     monkeypatch.setattr(T, "_replayed", record)
-    gm.training_loss(desk_model(), make_synthetic(2, frames=16, seed=0)[:4])
+    loss = gm.training_loss(desk_model(), make_synthetic(2, frames=16,
+                                                         seed=0)[:4])
+    monkeypatch.undo()
+    return loss, made
+
+
+def test_every_desk_replay_rebuilds_its_output(monkeypatch):
+    # every output the engine gives a replay, across a whole training
+    # forward, rebuilds its data bit for bit from what the graph keeps, once:
+    # a second call returns the same array, which no reader may write
+    _, made = desk_replays(monkeypatch)
     ops = set()
-    for op, out in made:
-        if out.replay is not None:
-            ops.add(op)
-            again = out.replay()
-            assert again.shape == out.data.shape, op
-            assert again.tobytes() == out.data.tobytes(), op
-            # fresh each call, so a reader may overwrite it
-            assert not np.shares_memory(again, out.replay()), op
+    for op, out, runs in made:
+        ops.add(op)
+        again = out.replay()
+        assert again.shape == out.data.shape, op
+        assert again.tobytes() == out.data.tobytes(), op
+        assert not again.flags.writeable, op
+        assert out.replay() is again and runs == [1], op
     assert {"conv2d", "batch_norm", "layer_norm", "relu", "transpose"} <= ops
+
+
+def test_desk_backward_runs_each_replay_kernel_at_most_once(monkeypatch):
+    # the input batch norm's output is read by all of block 0's convs and
+    # each bn_s output by four reduction convs, yet every kernel reruns once
+    loss, made = desk_replays(monkeypatch)
+    T.backward(loss)
+    assert max(len(runs) for _, _, runs in made) == 1
+    ran = {op for op, _, runs in made if runs}
+    assert {"conv2d", "batch_norm", "layer_norm", "relu"} <= ran

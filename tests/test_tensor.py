@@ -652,9 +652,46 @@ class TestConvRecompute:
         assert kept != recompute
 
 
+def run_norm_on_replay(norm, recompute):
+    """``norm(x, gamma, beta)`` on an interior x, given a replay when
+    ``recompute``: the shapes its closure holds, x's replay calls, the
+    output, the output's replay, and the gradients of src, gamma and beta."""
+    src = randt((3, 4, 5, 2), seed=60)
+    x = T.mul(src, 1.5)  # a fresh interior array
+    gamma, beta = randt((4,), seed=61, shift=1.0), randt((4,), seed=62)
+    calls = []
+
+    def replay():
+        calls.append(1)
+        return src.data * 1.5
+
+    if recompute:
+        x.replay = replay
+    out = norm(x, gamma, beta)
+    held = {a.shape for a in gm._arrays(out.node.backward)}
+    again = out.replay()
+    c = np.random.default_rng(63).standard_normal(out.data.shape)
+    grads = backward(T.tsum(T.mul(out, c)))
+    return (held, calls, out.data, again,
+            [grads[p.node] for p in (src, gamma, beta)])
+
+
+def check_norm_keeps_nothing_of_a_replayed_input(norm):
+    held, calls, out, again, grads = run_norm_on_replay(norm, True)
+    kept_held, kept_calls, want, want_again, want_grads = \
+        run_norm_on_replay(norm, False)
+    assert (3, 4, 5, 2) not in held and (3, 4, 5, 2) in kept_held
+    # one call for the output's replay, one for the backward
+    assert calls == [1, 1] and kept_calls == []
+    assert same_bits(out, want) and same_bits(again, out)
+    assert same_bits(want_again, want)
+    assert all(same_bits(g, w) for g, w in zip(grads, want_grads))
+
+
 class TestBatchNormReplay:
     """A norm's output carries a ``replay`` that rebuilds its data bit for
-    bit, or None when no graph is built."""
+    bit, or None when no graph is built. On an input with a ``replay`` a
+    batch norm keeps nothing of it, with batch or running statistics."""
 
     @pytest.mark.parametrize("running", [False, True])
     def test_replay_matches_the_output(self, running):
@@ -673,41 +710,19 @@ class TestBatchNormReplay:
             out = T.batch_norm(x, gamma, beta, *stats)
         assert out.replay is None
 
+    @pytest.mark.parametrize("running", [False, True])
+    def test_matches_the_kept_normalised_input(self, running):
+        stats = (np.full(4, 0.3), np.full(4, 1.7)) if running else (None, None)
+        check_norm_keeps_nothing_of_a_replayed_input(
+            lambda x, gamma, beta: T.batch_norm(x, gamma, beta, *stats))
+
 
 class TestLayerNormReplay:
     """A layer norm keeps nothing of an input with a ``replay``: its backward
     and its own replay rebuild x̂ from that replay, bit for bit."""
 
-    @staticmethod
-    def run(recompute):
-        src = randt((3, 4, 5, 2), seed=60)
-        x = T.mul(src, 1.5)  # a fresh interior array
-        gamma, beta = randt((4,), seed=61, shift=1.0), randt((4,), seed=62)
-        calls = []
-
-        def replay():
-            calls.append(1)
-            return src.data * 1.5
-
-        if recompute:
-            x.replay = replay
-        out = T.layer_norm(x, gamma, beta)
-        held = {a.shape for a in gm._arrays(out.node.backward)}
-        again = out.replay()
-        c = np.random.default_rng(63).standard_normal(out.data.shape)
-        grads = backward(T.tsum(T.mul(out, c)))
-        return (held, calls, out.data, again,
-                [grads[p.node] for p in (src, gamma, beta)])
-
     def test_matches_the_kept_normalised_input(self):
-        held, calls, out, again, grads = self.run(recompute=True)
-        kept_held, kept_calls, want, want_again, want_grads = self.run(False)
-        assert (3, 4, 5, 2) not in held and (3, 4, 5, 2) in kept_held
-        # one call for the output's replay, one for the backward
-        assert calls == [1, 1] and kept_calls == []
-        assert same_bits(out, want) and same_bits(again, out)
-        assert same_bits(want_again, want)
-        assert all(same_bits(g, w) for g, w in zip(grads, want_grads))
+        check_norm_keeps_nothing_of_a_replayed_input(T.layer_norm)
 
     def test_no_replay_without_a_graph(self):
         x, gamma, beta = randt((3, 4, 5, 2)), randt((4,)), randt((4,))

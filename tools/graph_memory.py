@@ -11,7 +11,10 @@ nested functions, tuples and lists) is charged to the op that made
 the closure, named by the closure's qualified name (``matmul`` for
 ``matmul.<locals>.back``). A view counts as its base array, each base counts
 once, for the first op that reaches it, and parameter and buffer arrays are
-not counted:
+not counted. The count is what the closures hold at the end of the forward
+pass: a replay caches the array it rebuilds on its first call during the
+walk and holds it until the last closure that can call it has run, and
+those cached arrays are not counted:
 
     python3 tools/graph_memory.py --model ntu
 
