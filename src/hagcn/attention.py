@@ -64,7 +64,7 @@ def ra_mask(f: Tensor) -> Tensor:
 
     a[n, c, i, j] = tanh(sum_t f[n,c,t,i] * f[n,c,t,j]).
     """
-    return T.tanh(T.gram(f))
+    return T.tanh(T.matmul(T.transpose(f, (0, 1, 3, 2)), f))
 
 
 class SubsetAttention(Layer):

@@ -3,10 +3,9 @@
 A Tensor wraps an ndarray and, when gradients are required, a graph Node:
 the parent nodes plus a closure that maps the output gradient to gradients
 for its parents. The op set is exactly what the network needs: broadcast
-arithmetic, batched matmul and the Gram product ``xᵀx``, a temporal
-(k_t x 1) convolution with stride/dilation/padding, batch and layer
-normalization, pointwise nonlinearities, reductions, shape moves,
-concatenation and inverted dropout.
+arithmetic, batched matmul, a temporal (k_t x 1) convolution with
+stride/dilation/padding, batch and layer normalization, pointwise
+nonlinearities, reductions, shape moves, concatenation and inverted dropout.
 ``backward`` walks the nodes in reverse topological order and returns the
 leaf gradients keyed by each leaf's node (``leaf.node``); ``grad_check``
 compares analytic gradients against central differences. ``no_grad`` turns
@@ -20,23 +19,23 @@ its Tensor and the last closure that reads it are gone, not when the graph
 is. Where an operand can be rebuilt from arrays the graph keeps anyway, it
 is not kept at all: an op output that carries a ``replay``, a zero-argument
 function returning its data bit for bit, is read through that function in
-backward, and no op keeps an operand that has one. A replay runs once per
-graph: its first call computes the array, and every call returns that same
-array, read-only, so a reader that tried to write it would raise. The array
-lives in the replay's closure and is freed with the last closure that can
-call it. One rule makes every replay (``_replayed`` sets them all): an op's
-replay reruns the op's own kernel, the one that made its output, on its
-input's replay or on the input it keeps. A conv reruns on either, relu and
-transpose only on an input's replay. A batch norm or layer norm reruns its
-affine step on its normalised input x̂: on an input with a replay it keeps
-only the mean and scale and rebuilds x̂ as ``(x - mean) * ivar`` from that
-replay, and on any other input it keeps x̂. So a conv after a batch norm, a
-norm after a conv and an attention product of two conv outputs keep
-nothing of those inputs, and ``gram`` (the angle mask's ``xᵀx``) reads its
-replayed input once for both factors. The graph is also one-shot:
-``backward`` drops each closure once it has run, so saved arrays free as
-the walk proceeds, and a second walk over a spent graph raises
-RuntimeError.
+backward, and no op keeps an operand that has one. One rule makes every
+rebuilt array, a replay or a norm's x̂: it is computed once per graph
+(``_once``), on its first call, and every call returns that same array,
+read-only, so a reader that tried to write it would raise. The array lives
+in the closure that computes it and is freed with the last closure that can
+call it. ``_replayed`` sets every replay: an op's replay reruns the op's own
+kernel, the one that made its output, on its input's replay or on the input
+it keeps. A conv reruns on either, relu and transpose only on an input's
+replay. A batch norm or layer norm reruns its affine step on its normalised
+input x̂: on an input with a replay it keeps only the mean and scale and
+rebuilds x̂ as ``(x - mean) * ivar`` from that replay, and on any other input
+it keeps x̂. So a conv after a batch norm, a norm after a conv and an
+attention product of two conv outputs keep nothing of those inputs, and a
+product of an array with itself reads its replay once for both operands.
+The graph is also one-shot: ``backward`` drops each closure once it has
+run, so saved arrays free as the walk proceeds, and a second walk over a
+spent graph raises RuntimeError.
 
 Closures read parameter arrays live, never copies, so a parameter must not
 change between a forward pass and its backward.
@@ -170,23 +169,28 @@ def _make(data, parents, backward_fn) -> Tensor:
     return out
 
 
+def _once(kernel, source):
+    """A function returning ``kernel(source())``: its first call computes
+    the array and marks it read-only, and every call returns that one array,
+    which is freed with the function."""
+    data = None
+
+    def get():
+        nonlocal data
+        if data is None:
+            data = kernel(source())
+            data.flags.writeable = False
+        return data
+
+    return get
+
+
 def _replayed(out: Tensor, kernel, source) -> Tensor:
     """``out``, whose data ``kernel`` made from its input, given the replay
-    ``kernel(source())`` when it has a graph node and ``source`` is not
-    None: without a node no closure reads it, so nothing needs rebuilding.
-    The replay runs the kernel on its first call only and returns that one
-    read-only array on every call; the array is freed with the replay."""
+    ``_once(kernel, source)`` when it has a graph node and ``source`` is not
+    None: without a node no closure reads it, so nothing needs rebuilding."""
     if out.node is not None and source is not None:
-        data = None
-
-        def replay():
-            nonlocal data
-            if data is None:
-                data = kernel(source())
-                data.flags.writeable = False
-            return data
-
-        out.replay = replay
+        out.replay = _once(kernel, source)
     return out
 
 
@@ -276,25 +280,6 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _make(data, (a, b), back)
-
-
-def gram(x) -> Tensor:
-    """``xᵀ x`` over the last two axes of a 4-D input: (N, C, T, V) to
-    (N, C, V, V). One op reads x once, where ``matmul(transpose(x), x)``
-    would read a replayed x for each operand; the gradient is the sum those
-    two nodes' flows into x make."""
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise ValueError("gram expects 4-D input")
-    get_x = _reader(x)
-
-    def back(g):
-        xd = get_x()
-        dx = np.matmul(xd, g)
-        dx += np.swapaxes(np.matmul(g, np.swapaxes(xd, -1, -2)), -1, -2)
-        return (dx,)
-
-    return _make(np.matmul(np.swapaxes(x.data, -1, -2), x.data), (x,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -433,18 +418,18 @@ def _affine_back(g, xhat, gamma_r):
 def _normalised(x: Tensor, xhat: np.ndarray, mean, ivar):
     """A function returning a norm's x̂ for its backward and its output's
     replay. On an input with a replay it keeps nothing of x̂ or x: only
-    ``mean`` and ``ivar`` stay, and x̂ is rebuilt as ``(x - mean) * ivar``
-    from that replay, the ops that made ``xhat``. Otherwise it keeps x̂."""
-    src = x.replay
-    if src is None:
+    ``mean`` and ``ivar`` stay, and x̂ is rebuilt once (``_once``) as
+    ``(x - mean) * ivar`` from that replay, the ops that made ``xhat``.
+    Otherwise it keeps x̂."""
+    if x.replay is None:
         return lambda: xhat
 
-    def rebuild():
-        xh = src() - mean
+    def rebuild(xd):
+        xh = xd - mean
         xh *= ivar
         return xh
 
-    return rebuild
+    return _once(rebuild, x.replay)
 
 
 def batch_norm(x, gamma, beta, mean=None, var=None, *, eps: float = 1e-5,

@@ -328,8 +328,8 @@ class TrainConfig:
         self.milestones = config_ints("milestones", self.milestones)
         for name in ("lr", "lr_factor"):
             config_real(name, getattr(self, name))
-        if self.lr <= 0.0:
-            raise ConfigError("lr must be positive")
+            if getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
         if self.stream not in STREAMS:
             raise ConfigError(f"stream must be one of {STREAMS}")
 

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -157,3 +158,34 @@ def test_compare_runs_nothing(tmp_path, capsys):
     with pytest.raises(SystemExit):
         bp.parse_args(["--workload", "desk_eval", "--record", "x.json"])
     assert "--against" in capsys.readouterr().err
+
+
+def engine_calls(tree):
+    """The ``T.<op>`` names called anywhere under an ast node."""
+    return {n.func.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and isinstance(n.func.value, ast.Name) and n.func.value.id == "T"}
+
+
+def parse(*path):
+    with open(os.path.join(ROOT, *path)) as f:
+        return ast.parse(f.read())
+
+
+def test_every_block_op_has_a_traced_row():
+    # a traced bench charges engine time to the ops perfbench's TENSOR_OPS
+    # names; a block op outside it would be charged to no row
+    (ops,) = [ast.literal_eval(n.value)
+              for n in parse("perfbench", "spans.py").body
+              if isinstance(n, ast.Assign)
+              and [t.id for t in n.targets] == ["TENSOR_OPS"]]
+    called = set()
+    for name in ("attention.py", "temporal.py", "layers.py"):
+        called |= engine_calls(parse("src", "hagcn", name))
+    (block,) = [n for n in parse("src", "hagcn", "network.py").body
+                if isinstance(n, ast.ClassDef) and n.name == "Block"]
+    (forward,) = [n for n in block.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "forward"]
+    called |= engine_calls(forward)
+    assert {"conv2d", "matmul", "layer_norm", "batch_norm"} <= called
+    assert called <= set(ops), sorted(called - set(ops))

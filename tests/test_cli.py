@@ -293,6 +293,8 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
                 {"model": {"graph": dict(ntu, edges=[[1.7, 0]])}},
                 {"model": {"graph": dict(ntu, hub_joints=["3"])}},
                 {"train": {"lr_factor": float("nan")}},
+                {"train": {"lr_factor": -1.0}},
+                {"train": {"lr_factor": 0.0}},
                 {"train": {"lr": float("inf")}},
                 {"model": {"dropout": float("-inf")}}):
         cfg_path = tmp_path / "bad.json"

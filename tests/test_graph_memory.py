@@ -198,35 +198,45 @@ def test_no_desk_closure_reaches_a_tensor():
 
 
 def desk_replays(monkeypatch):
-    """A desk training loss, and per output the engine gave a replay, the
-    op that made it, the output and the list its kernel appends to on each
-    run."""
-    made, replayed = [], T._replayed
+    """A desk training loss; per array the engine rebuilds once (``_once``:
+    every replay and every norm's x̂), the helper that asked for it
+    (``_replayed`` or ``_normalised``) and the list its kernel appends to on
+    each run; and per output given a replay, the op that made it, the output
+    and its replay's run list."""
+    rebuilt, made = [], []
+    once, replayed = T._once, T._replayed
 
-    def record(out, kernel, source):
+    def counted_once(kernel, source):
         runs = []
 
         def counted(xd):
             runs.append(1)
             return kernel(xd)
 
-        out = replayed(out, counted, source)
+        rebuilt.append((sys._getframe(1).f_code.co_name, runs))
+        return once(counted, source)
+
+    def record(out, kernel, source):
+        count = len(rebuilt)
+        out = replayed(out, kernel, source)
         if out.replay is not None:
-            made.append((sys._getframe(1).f_code.co_name, out, runs))
+            assert len(rebuilt) == count + 1
+            made.append((sys._getframe(1).f_code.co_name, out, rebuilt[-1][1]))
         return out
 
+    monkeypatch.setattr(T, "_once", counted_once)
     monkeypatch.setattr(T, "_replayed", record)
     loss = gm.training_loss(desk_model(), make_synthetic(2, frames=16,
                                                          seed=0)[:4])
     monkeypatch.undo()
-    return loss, made
+    return loss, rebuilt, made
 
 
 def test_every_desk_replay_rebuilds_its_output(monkeypatch):
     # every output the engine gives a replay, across a whole training
     # forward, rebuilds its data bit for bit from what the graph keeps, once:
     # a second call returns the same array, which no reader may write
-    _, made = desk_replays(monkeypatch)
+    _, _, made = desk_replays(monkeypatch)
     ops = set()
     for op, out, runs in made:
         ops.add(op)
@@ -239,10 +249,13 @@ def test_every_desk_replay_rebuilds_its_output(monkeypatch):
 
 
 def test_desk_backward_runs_each_replay_kernel_at_most_once(monkeypatch):
-    # the input batch norm's output is read by all of block 0's convs and
-    # each bn_s output by four reduction convs, yet every kernel reruns once
-    loss, made = desk_replays(monkeypatch)
+    # the input batch norm's output is read by all of block 0's convs, each
+    # bn_s output by four reduction convs, each compression by both operands
+    # of the angle product, and each norm's x̂ by its gradient and its
+    # output's replay, yet every rebuild, x̂ included, runs its kernel once
+    loss, rebuilt, made = desk_replays(monkeypatch)
     T.backward(loss)
-    assert max(len(runs) for _, _, runs in made) == 1
+    assert max(len(runs) for _, runs in rebuilt) == 1
+    assert {"_replayed", "_normalised"} == {h for h, runs in rebuilt if runs}
     ran = {op for op, _, runs in made if runs}
-    assert {"conv2d", "batch_norm", "layer_norm", "relu"} <= ran
+    assert {"conv2d", "batch_norm", "layer_norm", "relu", "transpose"} <= ran

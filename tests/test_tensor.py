@@ -681,8 +681,8 @@ def check_norm_keeps_nothing_of_a_replayed_input(norm):
     kept_held, kept_calls, want, want_again, want_grads = \
         run_norm_on_replay(norm, False)
     assert (3, 4, 5, 2) not in held and (3, 4, 5, 2) in kept_held
-    # one call for the output's replay, one for the backward
-    assert calls == [1, 1] and kept_calls == []
+    # one rebuild of x̂ serves the output's replay and the backward
+    assert calls == [1] and kept_calls == []
     assert same_bits(out, want) and same_bits(again, out)
     assert same_bits(want_again, want)
     assert all(same_bits(g, w) for g, w in zip(grads, want_grads))
@@ -732,53 +732,29 @@ class TestLayerNormReplay:
         assert out.replay is None
 
 
-class TestGram:
-    """``gram(x)`` is ``matmul(transpose(x), x)`` in one op that reads x
-    once, with the same bits forward and back."""
-
-    def test_gradient_oracle(self):
-        # the summed output is quadratic in x, so central differences carry
-        # no truncation error at any step: a wide step only cuts rounding
-        assert grad_check(T.gram, randt((2, 3, 5, 4), seed=70),
-                          eps=1e-3) <= 1e-10
+class TestAngleProduct:
+    """``matmul(transpose(f), f)``, the angle mask's product of f with
+    itself: both operands' flows into f sum, and both operands read one
+    rebuild of a replayed f."""
 
     @staticmethod
-    def grads(x, fn):
-        c = np.random.default_rng(71).standard_normal((2, 3, 4, 4))
-        out = fn(x)
-        return out.data, backward(T.tsum(T.mul(out, c)))
+    def product(f):
+        return T.matmul(T.transpose(f, (0, 1, 3, 2)), f)
 
-    @pytest.mark.parametrize("replayed", [False, True])
-    def test_matches_the_two_node_product(self, replayed):
-        src = randt((2, 3, 5, 4), seed=72)
-        w, b = randt((3, 3, 1, 1), seed=73), randt((3,), seed=74)
-
-        def features():
-            # a conv output carries a replay; a mul output does not
-            return T.conv2d(src, w, b) if replayed else T.mul(src, 1.5)
-
-        def pair(f):
-            return T.matmul(T.transpose(f, (0, 1, 3, 2)), f)
-
-        f = features()
-        assert (f.replay is not None) == replayed
-        got, gg = self.grads(f, T.gram)
-        want, gw = self.grads(features(), pair)
-        assert same_bits(got, want)
-        assert gg.keys() == gw.keys() and src.node in gg
-        assert all(same_bits(gg[k], gw[k]) for k in gg)
+    def test_gradient_oracle(self):
+        # the summed output is quadratic in f, so central differences carry
+        # no truncation error at any step: a wide step only cuts rounding
+        assert grad_check(self.product, randt((2, 3, 5, 4), seed=70),
+                          eps=1e-3) <= 1e-10
 
     def test_replay_runs_once(self):
         src = randt((2, 3, 5, 4), seed=75)
         f = T.mul(src, 1.5)
         calls = []
-        f.replay = lambda: calls.append(1) or src.data * 1.5
-        backward(T.tsum(T.gram(f)))
+        f.replay = T._once(lambda xd: calls.append(1) or xd * 1.5,
+                           lambda: src.data)
+        backward(T.tsum(self.product(f)))
         assert calls == [1]
-
-    def test_rejects_other_ranks(self):
-        with pytest.raises(ValueError, match="4-D"):
-            T.gram(randt((3, 4)))
 
 
 class TestOutputReplay:

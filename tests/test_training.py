@@ -345,6 +345,9 @@ def test_train_config_validation():
         tr.TrainConfig(stream="flow")
     with pytest.raises(ConfigError, match="lr"):
         tr.TrainConfig(lr=0.0)
+    for factor in (-1.0, 0.0):  # ascent or a frozen run after a milestone
+        with pytest.raises(ConfigError, match="lr_factor"):
+            tr.TrainConfig(lr_factor=factor, milestones=(1,))
     with pytest.raises(ConfigError, match="unknown"):
         tr.TrainConfig.from_dict({"epochs": 3, "optimizer": "adam"})
 

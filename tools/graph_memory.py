@@ -12,9 +12,9 @@ the closure, named by the closure's qualified name (``matmul`` for
 ``matmul.<locals>.back``). A view counts as its base array, each base counts
 once, for the first op that reaches it, and parameter and buffer arrays are
 not counted. The count is what the closures hold at the end of the forward
-pass: a replay caches the array it rebuilds on its first call during the
-walk and holds it until the last closure that can call it has run, and
-those cached arrays are not counted:
+pass: every rebuilt array, a replay or a norm's x̂ rebuild, is cached on
+its first call during the walk and held until the last closure that can
+call it has run, and those cached arrays are not counted:
 
     python3 tools/graph_memory.py --model ntu
 
